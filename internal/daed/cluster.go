@@ -167,9 +167,10 @@ type ArtifactPutRequest struct {
 // handleArtifactPut serves PUT /v1/artifact. It is the replication sink:
 // peers push envelopes here after executing a pipeline for a key this node
 // co-owns, on drain handoff, and from the repair loops. The store
-// re-validates and re-checksums the payload, so a damaged envelope is
-// rejected, never stored. 204 means installed; 200 means the node already
-// held the key, so senders can count real installs.
+// re-validates and re-checksums the payload, and a trace/ payload must pass
+// the trace schema check, so a damaged envelope is rejected, never stored.
+// 204 means installed; 200 means the node already held the key, so senders
+// can count real installs.
 func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 	var req ArtifactPutRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
@@ -184,7 +185,7 @@ func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if err := s.store.Put(req.Key, req.Payload); err != nil {
+	if err := s.install(req.Key, req.Payload); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Class: "parse"})
 		return
 	}

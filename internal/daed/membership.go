@@ -215,7 +215,7 @@ func (s *Server) warmup(v *ring.View) {
 			if err != nil {
 				continue
 			}
-			if err := s.store.Put(key, payload); err != nil {
+			if err := s.install(key, payload); err != nil {
 				s.cfg.Log.Printf("daed: warmup: install %s: %v", key, err)
 				continue
 			}

@@ -163,9 +163,16 @@ func TestMembershipJoinAndGossip(t *testing.T) {
 	// b booted knowing a, but a booted alone: converge them via a join so
 	// both sides agree before growing further.
 	ctx := context.Background()
-	if _, err := (&daed.Client{Base: a.url}).Join(ctx, b.url); err != nil {
+	ab, err := (&daed.Client{Base: a.url}).Join(ctx, b.url)
+	if err != nil {
 		t.Fatalf("join b: %v", err)
 	}
+	// The join reaches b by asynchronous gossip. Until it lands, b still
+	// holds its boot view one epoch back and would mint the next join at
+	// the epoch a already used, for a different member list.
+	waitFor(t, 5*time.Second, "b adopts the join", func() bool {
+		return ringOf(t, b.url).Epoch == ab.Epoch
+	})
 	c := bootMember(t, nil, -1)
 	mr, err := (&daed.Client{Base: b.url}).Join(ctx, c.url)
 	if err != nil {
@@ -528,14 +535,16 @@ func TestMembershipChurnDrill(t *testing.T) {
 	if warm.Report != ref.Report {
 		t.Fatal("cluster warm report differs from single-node reference")
 	}
+	// Either owner may have executed the request: a slow first attempt
+	// fails over to the second owner, and whichever finishes first
+	// replicates to the other. Wait until both hold the key.
 	waitFor(t, 15*time.Second, "write-behind replication", func() bool {
-		var in int64
-		for _, n := range nodes {
-			if n != victim {
-				in += n.srv.Stats().ReplicatedIn
+		for _, o := range rg.Nodes(key, 2) {
+			if !hasKey(t, o, key) {
+				return false
 			}
 		}
-		return in >= 1
+		return true
 	})
 
 	// Seed extra journaled keys (synthetic, sim-keyed) on their owners so
@@ -564,8 +573,10 @@ func TestMembershipChurnDrill(t *testing.T) {
 	px.Heal()
 
 	// Phase 3: kill the key's primary outright and keep writing through the
-	// degraded cluster.
+	// degraded cluster. A killed process runs no background loops either,
+	// so its repair loop must not keep pushing into the survivors.
 	victim.hs.Close()
+	victim.srv.Close()
 	for i := 0; i < 6; i++ {
 		resp, err := cl.Simulate(ctx, "drill", req)
 		if err != nil {
@@ -623,9 +634,35 @@ func TestMembershipChurnDrill(t *testing.T) {
 		}
 		return true
 	})
+	// The replacement's join warmup may have restored R=2 without a single
+	// repair push, so take one copy away from an owner that is not
+	// warming and let anti-entropy alone put it back.
+	dropKey := seeded[0]
+	var dropFrom *memberNode
+	for _, o := range rg3.Nodes(dropKey, 2) {
+		if o != replacement.url {
+			dropFrom = byMemberURL(t, final, o)
+			break
+		}
+	}
+	dropFrom.srv.DropArtifact(dropKey)
+	if hasKey(t, dropFrom.url, dropKey) {
+		t.Fatal("dropped key still present")
+	}
+	waitFor(t, 30*time.Second, "anti-entropy restores the dropped copy", func() bool {
+		return hasKey(t, dropFrom.url, dropKey)
+	})
+	// The pusher counts an install once the 204 is back, which may trail
+	// the receiver's install by a moment.
 	var pushed int64
-	for _, n := range final {
-		pushed += n.srv.Stats().RepairPushed
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		pushed = 0
+		for _, n := range final {
+			pushed += n.srv.Stats().RepairPushed
+		}
+		if pushed >= 1 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if pushed < 1 {
 		t.Fatalf("repair pushed %d installs across the cluster, want >= 1", pushed)

@@ -148,8 +148,9 @@ func (s *Server) maybeReadRepair(v *ring.View, key string, payload []byte) {
 // pullFromReplicas is the pull direction of read-repair: this node owns key
 // under the request's view but misses the envelope (it joined after the
 // write, or lost the replication push). Before paying a pipeline execution,
-// fetch the envelope from a co-owner; the store re-verifies it on install.
-// Returns the decoded payload when a replica supplied it.
+// fetch the envelope from a co-owner; install re-verifies it (and schema-
+// checks a trace set) before storing it. Returns the payload when a replica
+// supplied it.
 func (s *Server) pullFromReplicas(ctx context.Context, v *ring.View, key string) ([]byte, bool) {
 	c := s.cluster
 	if c == nil || v == nil || !c.owns(v, key) {
@@ -163,7 +164,7 @@ func (s *Server) pullFromReplicas(ctx context.Context, v *ring.View, key string)
 		if err != nil {
 			continue
 		}
-		if err := s.store.Put(key, payload); err != nil {
+		if err := s.install(key, payload); err != nil {
 			s.cfg.Log.Printf("daed: read-repair: install %s: %v", key, err)
 			continue
 		}

@@ -173,3 +173,26 @@ func TestViewStampsEpoch(t *testing.T) {
 		t.Fatalf("view ring disagrees with plain ring")
 	}
 }
+
+// TestPropSuffixKeysSpread: keys that differ only in their last characters
+// spread over the ring like any others, so every member of a 3-node, R=2
+// ring holds a fair share of them.
+func TestPropSuffixKeysSpread(t *testing.T) {
+	r := New(members(3), 0, DefaultSeed)
+	held := map[string]int{}
+	primary := map[string]int{}
+	const n = 300
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("drill/warm-%03d", i)
+		for _, o := range r.Nodes(k, 2) {
+			held[o]++
+		}
+		primary[r.Primary(k)]++
+	}
+	for _, m := range members(3) {
+		// Fair is 2/3 of the keys held and 1/3 as primary.
+		if held[m] < n/2 || primary[m] < n/5 {
+			t.Errorf("%s holds %d and is primary for %d of %d suffix-only keys", m, held[m], primary[m], n)
+		}
+	}
+}

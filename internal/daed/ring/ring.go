@@ -43,14 +43,23 @@ type Ring struct {
 }
 
 // hash64 hashes the parts with FNV-1a, separated so ("ab","c") and
-// ("a","bc") land differently.
+// ("a","bc") land differently, then applies MurmurHash3's 64-bit finalizer.
+// FNV-1a alone reaches the high bits from the last bytes through a single
+// multiply, so keys differing only in a suffix ("...-00", "...-01") landed
+// in one narrow arc and all got the same owners.
 func hash64(parts ...string) uint64 {
 	h := fnv.New64a()
 	for _, p := range parts {
 		h.Write([]byte(p))
 		h.Write([]byte{0})
 	}
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // New builds a ring over nodes with vnodes virtual nodes per member (<= 0
@@ -160,8 +169,9 @@ func (r *Ring) Fractions() map[string]float64 {
 		return map[string]float64{}
 	}
 	out := make(map[string]float64, len(r.nodes))
-	if len(r.points) == 1 {
-		out[r.nodes[r.points[0].node]] = 1
+	if len(r.nodes) == 1 {
+		// Summing its arcs in float64 can round past 1.
+		out[r.nodes[0]] = 1
 		return out
 	}
 	// Accumulate in float64: individual arcs fit a uint64 but their total is

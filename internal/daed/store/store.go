@@ -23,9 +23,11 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -375,14 +377,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // artifacts. Disk failures are non-fatal: the store degrades to memory-only
 // for that artifact.
 func (s *Store) Put(key string, payload []byte) error {
-	// Compact through a RawMessage round-trip so the checksummed bytes are
-	// exactly the bytes a later load decodes (json re-encoding strips
-	// whitespace and escapes HTML).
-	var compact json.RawMessage
-	if err := json.Unmarshal(payload, &compact); err != nil {
-		return err
-	}
-	enc, err := json.Marshal(compact)
+	enc, err := compactPayload(payload)
 	if err != nil {
 		return err
 	}
@@ -399,21 +394,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		s.mu.Unlock()
 		return nil
 	}
-	env := envelope{Version: version, Key: key, Payload: enc}
-	// Round-trip once more so Sum covers the stored form of the payload.
-	pre, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	var stored envelope
-	if err := json.Unmarshal(pre, &stored); err != nil {
-		return err
-	}
-	env.Sum = contentSum(stored.Payload)
-	b, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
+	b := encodeEnvelope(key, enc)
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
@@ -445,6 +426,32 @@ func (s *Store) Put(key string, payload []byte) error {
 	s.enforceBudget(key)
 	s.mu.Unlock()
 	return nil
+}
+
+// compactPayload validates payload as JSON and returns it compacted with
+// HTML-significant characters and U+2028/U+2029 escaped: exactly the bytes
+// json.Marshal(json.RawMessage(payload)) gives, which is the form every
+// stored payload, and so every checksum on disk, has always had.
+func compactPayload(payload []byte) ([]byte, error) {
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, payload); err != nil {
+		return nil, err
+	}
+	var enc bytes.Buffer
+	enc.Grow(compact.Len())
+	json.HTMLEscape(&enc, compact.Bytes())
+	return enc.Bytes(), nil
+}
+
+// encodeEnvelope writes the envelope of an already compacted payload, byte
+// for byte what json.Marshal gives for it, without re-scanning the payload.
+func encodeEnvelope(key string, payload []byte) []byte {
+	k, _ := json.Marshal(key) // a string always marshals
+	sum := contentSum(payload)
+	b := make([]byte, 0, len(payload)+len(k)+len(sum)+64)
+	b = fmt.Appendf(b, `{"version":%d,"key":%s,"sum":"%s","payload":`, version, k, sum)
+	b = append(b, payload...)
+	return append(b, '}')
 }
 
 // touchJournalOnly appends key to the journal without re-bumping seq (Put

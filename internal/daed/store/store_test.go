@@ -427,3 +427,83 @@ func TestKeysHasRelease(t *testing.T) {
 		t.Fatalf("Release of a missing key reported true")
 	}
 }
+
+// legacyEnvelope is Put's former encoding: a RawMessage round trip to
+// compact the payload, then a marshal, unmarshal and marshal of the
+// envelope so Sum covers the stored payload bytes.
+func legacyEnvelope(t *testing.T, key string, payload []byte) (stored []byte, file []byte) {
+	t.Helper()
+	var compact json.RawMessage
+	if err := json.Unmarshal(payload, &compact); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := envelope{Version: version, Key: key, Payload: enc}
+	pre, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back envelope
+	if err := json.Unmarshal(pre, &back); err != nil {
+		t.Fatal(err)
+	}
+	env.Sum = contentSum(back.Payload)
+	if file, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	return enc, file
+}
+
+// TestPutBytesMatchLegacyEncoding: Put's single compaction writes the same
+// payload bytes, checksum and envelope file as the former round trips, so
+// stores written before still verify and read back unchanged.
+func TestPutBytesMatchLegacyEncoding(t *testing.T) {
+	dir := t.TempDir()
+	s := New(dir, 0)
+	mem := New("", 0)
+	for i, payload := range []string{
+		`{"report":"plain","n":3}`,
+		" {\n\t\"report\" : \"spaced out\" ,\r\n \"list\": [ 1 , 2.5e3, true, null ] }\n",
+		`{"html":"<a href=\"x\">&amp;</a>","nested":{"k<>":"v&"}}`,
+		"{\"sep\":\"line\u2028para\u2029end\",\"raw\":\"\u00e9\U0001F600\"}",
+		`{"escaped":"< \n"}`,
+		`"just a string <&>"`,
+	} {
+		key := fmt.Sprintf("trace/v1;k<&>%d", i)
+		wantStored, wantFile := legacyEnvelope(t, key, []byte(payload))
+		if err := s.Put(key, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(s.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file, wantFile) {
+			t.Errorf("payload %d: envelope file differs:\n got %s\nwant %s", i, file, wantFile)
+		}
+		var env envelope
+		if err := json.Unmarshal(file, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Sum != contentSum(wantStored) {
+			t.Errorf("payload %d: sum %s, want %s", i, env.Sum, contentSum(wantStored))
+		}
+		if got, ok := New(dir, 0).Get(key); !ok || !bytes.Equal(got, wantStored) {
+			t.Errorf("payload %d: reopened store reads %s (hit %v), want %s", i, got, ok, wantStored)
+		}
+		if err := mem.Put(key, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := mem.Get(key); !bytes.Equal(got, wantStored) {
+			t.Errorf("payload %d: memory store holds %s, want %s", i, got, wantStored)
+		}
+	}
+	for _, bad := range []string{``, `{`, `{"a":1}x`, `{'a':1}`} {
+		if err := s.Put("bad", []byte(bad)); err == nil {
+			t.Errorf("Put accepted invalid JSON %q", bad)
+		}
+	}
+}

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	daepass "dae/internal/dae"
@@ -45,10 +48,57 @@ type TraceResponse struct {
 	ElapsedMs float64 `json:"elapsed_ms"`
 }
 
-// traceArtifact is the stored part of a trace response.
+// traceArtifact is the stored part of a trace response. A store hit
+// serves the stored bytes as they are, with traceHitFields spliced in
+// before the closing brace, so the response never re-codes the trace set.
 type traceArtifact struct {
 	Data     *eval.AppDataWire `json:"data"`
 	Degraded bool              `json:"degraded,omitempty"`
+}
+
+// traceHitFields are the per-request members of a TraceResponse, in its
+// field order.
+type traceHitFields struct {
+	CacheHit  bool    `json:"cache_hit"`
+	Collapsed bool    `json:"collapsed"`
+	Key       string  `json:"key"`
+	ElapsedMs float64 `json:"elapsed_ms"`
+}
+
+// traceKeyPrefix starts every trace artifact's store key.
+const traceKeyPrefix = "trace/"
+
+// checkTraceArtifact is the schema check of a trace/ payload entering the
+// store: a clean (never degraded) artifact whose three traces decode and
+// validate. Together with Put's JSON validation and the SHA-256 check on
+// disk loads, it is what lets a hit serve stored bytes unchecked.
+func checkTraceArtifact(payload []byte) error {
+	var art traceArtifact
+	if err := json.Unmarshal(payload, &art); err != nil {
+		return fmt.Errorf("daed: trace artifact: %w", err)
+	}
+	if art.Data == nil {
+		return errors.New("daed: trace artifact has no data")
+	}
+	if art.Degraded {
+		return errors.New("daed: degraded trace artifacts are never stored")
+	}
+	if _, err := art.Data.Decode(); err != nil {
+		return fmt.Errorf("daed: trace artifact: %w", err)
+	}
+	return nil
+}
+
+// install is the one way a payload from outside the process enters the
+// store (replication, read-repair pulls, join warmup) and the way a
+// collected trace set does: trace/ keys pass checkTraceArtifact first.
+func (s *Server) install(key string, payload []byte) error {
+	if strings.HasPrefix(key, traceKeyPrefix) {
+		if err := checkTraceArtifact(payload); err != nil {
+			return err
+		}
+	}
+	return s.store.Put(key, payload)
 }
 
 // simulateRequest projects the trace request onto the simulate planner —
@@ -64,7 +114,7 @@ func (req *TraceRequest) plan() (*simPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.key = "trace/v1;" + p.key
+	p.key = traceKeyPrefix + "v1;" + p.key
 	return p, nil
 }
 
@@ -113,25 +163,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	v := s.clusterView()
-	if b, ok := s.store.Get(p.key); ok {
-		var art traceArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondTrace(w, &art, p.key, true, false, start)
-			s.maybeReadRepair(v, p.key, b)
-			return
-		}
+	if b, ok := s.store.Get(p.key); ok && spliceable(b) {
+		s.stats.storeHits.Add(1)
+		s.respondTraceHit(w, b, p.key, start)
+		s.maybeReadRepair(v, p.key, b)
+		return
 	}
 	if s.notOwnerRedirect(w, r, v, p.key) {
 		return
 	}
-	if b, ok := s.pullFromReplicas(ctx, v, p.key); ok {
-		var art traceArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondTrace(w, &art, p.key, true, false, start)
-			return
-		}
+	if b, ok := s.pullFromReplicas(ctx, v, p.key); ok && spliceable(b) {
+		s.stats.storeHits.Add(1)
+		s.respondTraceHit(w, b, p.key, start)
+		return
 	}
 	if v != nil && s.proxy(w, r.WithContext(ctx), v, "/v1/trace", p.key, &req) {
 		return
@@ -172,6 +216,30 @@ func (s *Server) respondTrace(w http.ResponseWriter, art *traceArtifact, key str
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
+// spliceable reports whether a stored artifact is a non-empty JSON object
+// that traceHitFields can be spliced into. Every artifact stored through
+// install is; the check keeps a payload an older server stored unchecked
+// from turning into a malformed response.
+func spliceable(b []byte) bool {
+	return len(b) > 2 && b[0] == '{' && b[len(b)-1] == '}'
+}
+
+// respondTraceHit writes a store hit: the stored artifact bytes with the
+// per-request fields appended as its last members, the same document
+// respondTrace would encode for the decoded artifact.
+func (s *Server) respondTraceHit(w http.ResponseWriter, art []byte, key string, start time.Time) {
+	f := traceHitFields{CacheHit: true, Key: key, ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond)}
+	s.stats.observe(f.ElapsedMs)
+	tail, _ := json.Marshal(f) // a bool, a string and a finite float cannot fail
+	tail[0] = ','
+	tail = append(tail, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(art)-1+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(art[:len(art)-1])
+	w.Write(tail)
+}
+
 // runTrace collects one app's trace set under the admission-controlled
 // queue and encodes it for the wire. Clean sets enter the shared store and
 // replicate; degraded sets (transient runtime faults) are returned but
@@ -207,7 +275,7 @@ func (s *Server) runTrace(ctx context.Context, p *simPlan) (*traceArtifact, erro
 	}
 	if !art.Degraded {
 		if b, err := json.Marshal(art); err == nil {
-			if err := s.store.Put(p.key, b); err != nil {
+			if err := s.install(p.key, b); err != nil {
 				s.cfg.Log.Printf("daed: artifact store write failed for %s: %v", p.key, err)
 			}
 			s.replicate(p.key, b)

@@ -9,7 +9,8 @@ import (
 
 // traceJSON is the serialized form of a Trace; all fields of TaskRecord,
 // interp.Counts and mem.Stats are exported plain data, so the encoding is a
-// faithful snapshot of the frequency-independent profile.
+// faithful snapshot of the frequency-independent profile. SaveTrace writes
+// it with encoding/json; DecodeTrace reads it with traceDecoder.
 type traceJSON struct {
 	Version     int               `json:"version"`
 	Workload    string            `json:"workload"`
@@ -50,17 +51,28 @@ func EncodeTrace(tr *Trace) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeTrace parses a trace produced by EncodeTrace (or SaveTrace).
+// DecodeTrace parses a trace produced by EncodeTrace (or SaveTrace). The
+// input must hold exactly one trace, optionally surrounded by whitespace.
 func DecodeTrace(b []byte) (*Trace, error) {
-	return LoadTrace(bytes.NewReader(b))
-}
-
-// LoadTrace reads a trace saved with SaveTrace.
-func LoadTrace(r io.Reader) (*Trace, error) {
-	var tj traceJSON
-	if err := json.NewDecoder(r).Decode(&tj); err != nil {
+	tj, err := decodeTraceJSON(b)
+	if err != nil {
 		return nil, fmt.Errorf("rt: decoding trace: %w", err)
 	}
+	return tj.trace()
+}
+
+// LoadTrace reads a trace saved with SaveTrace; like DecodeTrace, it
+// requires the reader to hold that one trace and nothing else.
+func LoadTrace(r io.Reader) (*Trace, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("rt: decoding trace: %w", err)
+	}
+	return DecodeTrace(b)
+}
+
+// trace validates a decoded trace and returns it.
+func (tj *traceJSON) trace() (*Trace, error) {
 	if tj.Version < 1 || tj.Version > traceVersion {
 		return nil, fmt.Errorf("rt: unsupported trace version %d", tj.Version)
 	}
