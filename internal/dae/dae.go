@@ -124,8 +124,8 @@ var testRungHook func(Strategy, *ir.Func) error
 type Result struct {
 	// Task is the original task (the execute version).
 	Task *ir.Func
-	// Access is the generated access version; nil when Strategy is
-	// StrategyNone.
+	// Access is the generated access version; nil exactly when Strategy
+	// is StrategyNone.
 	Access *ir.Func
 	// AccessFull is the unsimplified skeleton variant (conditionals kept),
 	// present only with Options.MultiVersion when it differs from Access.

@@ -51,19 +51,32 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// maxBody bounds the response body the client reads.
+const maxBody = 16 << 20
+
 // do posts one JSON request and decodes the JSON response into out.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	raw, err := c.fetch(ctx, method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// fetch sends one request with an optional JSON body and returns the body
+// of a 2xx response; any other status is a *RemoteError.
+func (c *Client) fetch(ctx context.Context, method, path string, in any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -77,14 +90,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return fault.Wrap(fault.KindTimeout, err)
+			return nil, fault.Wrap(fault.KindTimeout, err)
 		}
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := readBody(resp)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode/100 != 2 {
 		re := &RemoteError{Status: resp.StatusCode}
@@ -93,12 +106,23 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			re.Body.Error = string(bytes.TrimSpace(raw))
 		}
 		re.RetryAfter = time.Duration(re.Body.RetryAfterMs) * time.Millisecond
-		return re
+		return nil, re
 	}
-	if out == nil {
-		return nil
+	if len(raw) > maxBody {
+		return nil, fmt.Errorf("daed: response body larger than %d bytes", maxBody)
 	}
-	return json.Unmarshal(raw, out)
+	return raw, nil
+}
+
+// readBody reads at most maxBody+1 bytes of a response body, into one
+// buffer of the body's size when the server sent a Content-Length.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 }
 
 // Simulate runs one simulate request against the server.
@@ -110,13 +134,19 @@ func (c *Client) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 	return &resp, nil
 }
 
-// Trace fetches one app's collected trace set from the server.
+// Trace fetches one app's collected trace set from the server. The
+// response is decoded in one pass (decodeTraceResponse); its traces alias
+// the body buffer.
 func (c *Client) Trace(ctx context.Context, req *TraceRequest) (*TraceResponse, error) {
-	var resp TraceResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/trace", req, &resp); err != nil {
+	raw, err := c.fetch(ctx, http.MethodPost, "/v1/trace", req)
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	resp, err := decodeTraceResponse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("daed: decoding trace response: %w", err)
+	}
+	return resp, nil
 }
 
 // Compile runs one compile request against the server.

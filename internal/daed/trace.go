@@ -51,6 +51,8 @@ type TraceResponse struct {
 // traceArtifact is the stored part of a trace response. A store hit
 // serves the stored bytes as they are, with traceHitFields spliced in
 // before the closing brace, so the response never re-codes the trace set.
+// A stored artifact decodes with decodeTraceResponse, as a client decodes
+// a response.
 type traceArtifact struct {
 	Data     *eval.AppDataWire `json:"data"`
 	Degraded bool              `json:"degraded,omitempty"`
@@ -70,11 +72,12 @@ const traceKeyPrefix = "trace/"
 
 // checkTraceArtifact is the schema check of a trace/ payload entering the
 // store: a clean (never degraded) artifact whose three traces decode and
-// validate. Together with Put's JSON validation and the SHA-256 check on
-// disk loads, it is what lets a hit serve stored bytes unchecked.
+// validate, read by the decoder a client reads a response with. Together
+// with Put's JSON validation and the SHA-256 check on disk loads, it is
+// what lets a hit serve stored bytes unchecked.
 func checkTraceArtifact(payload []byte) error {
-	var art traceArtifact
-	if err := json.Unmarshal(payload, &art); err != nil {
+	art, err := decodeTraceResponse(payload)
+	if err != nil {
 		return fmt.Errorf("daed: trace artifact: %w", err)
 	}
 	if art.Data == nil {

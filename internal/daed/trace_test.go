@@ -68,7 +68,7 @@ func checkTraceResponse(t *testing.T, what string, resp *daed.TraceResponse, wan
 	}
 }
 
-func newTraceServer(t *testing.T, dir string) (*daed.Server, *daed.Client) {
+func newTraceServer(t testing.TB, dir string) (*daed.Server, *daed.Client) {
 	t.Helper()
 	s := daed.New(daed.Config{Workers: 1, Dir: dir})
 	ts := httptest.NewServer(s)
@@ -80,7 +80,7 @@ func newTraceServer(t *testing.T, dir string) (*daed.Server, *daed.Client) {
 }
 
 // putArtifact sends PUT /v1/artifact and returns the status.
-func putArtifact(t *testing.T, base, key string, payload []byte) int {
+func putArtifact(t testing.TB, base, key string, payload []byte) int {
 	t.Helper()
 	body, err := json.Marshal(daed.ArtifactPutRequest{Key: key, Payload: payload})
 	if err != nil {

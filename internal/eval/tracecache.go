@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -95,17 +96,23 @@ type envelope struct {
 // contentSum computes the envelope's content checksum over the trace bytes
 // and the (deterministically marshaled) results map.
 func contentSum(trace json.RawMessage, results map[string]ResultSummary) (string, error) {
-	h := sha256.New()
-	h.Write(trace)
+	var rb []byte
 	if results != nil {
 		// encoding/json sorts map keys, so this is deterministic.
-		rb, err := json.Marshal(results)
-		if err != nil {
+		var err error
+		if rb, err = json.Marshal(results); err != nil {
 			return "", err
 		}
-		h.Write(rb)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return sumOf(trace, rb), nil
+}
+
+// sumOf is the checksum of a stored trace and its marshaled results.
+func sumOf(trace, results []byte) string {
+	h := sha256.New()
+	h.Write(trace)
+	h.Write(results)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // resolve returns the entry for key, computing it with collect on a miss.
@@ -231,34 +238,7 @@ func (tc *TraceCache) load(key string) (*runOutput, error) {
 }
 
 func (tc *TraceCache) save(key string, out *runOutput) error {
-	raw, err := rt.EncodeTrace(out.Trace)
-	if err != nil {
-		return err
-	}
-	env := envelope{Version: cacheVersion, Key: key, Trace: raw}
-	if out.Results != nil {
-		env.Results = make(map[string]ResultSummary, len(out.Results))
-		for name, r := range out.Results {
-			env.Results[name] = summarizeResult(r)
-		}
-	}
-	// Marshaling the envelope re-compacts the embedded raw trace (an
-	// encoder's trailing newline, whitespace, HTML escaping), so the bytes a
-	// later load sees are not raw. Round-trip once and checksum the stored
-	// form — the form load validates against.
-	pre, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	var stored envelope
-	if err := json.Unmarshal(pre, &stored); err != nil {
-		return err
-	}
-	env.Sum, err = contentSum(stored.Trace, stored.Results)
-	if err != nil {
-		return err
-	}
-	b, err := json.Marshal(env)
+	b, err := encodeEnvelope(key, out)
 	if err != nil {
 		return err
 	}
@@ -285,4 +265,38 @@ func (tc *TraceCache) save(key string, out *runOutput) error {
 		return err
 	}
 	return os.Rename(tmpName, tc.path(key))
+}
+
+// encodeEnvelope returns the envelope file of one entry, byte for byte what
+// json.Marshal gives for its envelope, without re-coding the trace: the
+// stored trace is the compact, HTML-escaped form a marshaled RawMessage
+// takes, which is EncodeTrace's output (json.Marshal's encoding) without
+// the encoder's newline, and Sum covers it and the marshaled results, as
+// load recomputes them. (A results entry whose Reason held invalid UTF-8
+// would re-marshal differently after a load and read as corrupt; the
+// compiler's reasons are ASCII.)
+func encodeEnvelope(key string, out *runOutput) ([]byte, error) {
+	raw, err := rt.EncodeTrace(out.Trace)
+	if err != nil {
+		return nil, err
+	}
+	trace := bytes.TrimSuffix(raw, []byte("\n"))
+	var results []byte
+	if len(out.Results) > 0 { // omitempty: no member, and nothing summed
+		rs := make(map[string]ResultSummary, len(out.Results))
+		for name, r := range out.Results {
+			rs[name] = summarizeResult(r)
+		}
+		if results, err = json.Marshal(rs); err != nil {
+			return nil, err
+		}
+	}
+	k, _ := json.Marshal(key) // a string always marshals
+	b := make([]byte, 0, len(trace)+len(results)+len(k)+128)
+	b = fmt.Appendf(b, `{"version":%d,"key":%s,"sum":"%s","trace":`, cacheVersion, k, sumOf(trace, results))
+	b = append(b, trace...)
+	if results != nil {
+		b = append(append(b, `,"results":`...), results...)
+	}
+	return append(b, '}'), nil
 }

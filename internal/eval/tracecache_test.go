@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +17,7 @@ import (
 	"dae/internal/fault/inject"
 
 	"dae/internal/bench"
+	"dae/internal/dae"
 	"dae/internal/rt"
 )
 
@@ -341,4 +344,143 @@ func TestTraceCachePutRace(t *testing.T) {
 	if got.Trace == nil || got.Trace.Workload != "write-test" {
 		t.Fatalf("racing puts corrupted the entry: %+v", got)
 	}
+}
+
+// legacyEnvelope is the envelope file the trace cache wrote when save
+// re-coded the trace: marshal, unmarshal, checksum the round-tripped form,
+// marshal again.
+func legacyEnvelope(t *testing.T, key string, out *runOutput) []byte {
+	t.Helper()
+	raw, err := rt.EncodeTrace(out.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := envelope{Version: cacheVersion, Key: key, Trace: raw}
+	if out.Results != nil {
+		env.Results = make(map[string]ResultSummary, len(out.Results))
+		for name, r := range out.Results {
+			env.Results[name] = summarizeResult(r)
+		}
+	}
+	pre, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored envelope
+	if err := json.Unmarshal(pre, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if env.Sum, err = contentSum(stored.Trace, stored.Results); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestTraceCacheEnvelopeMatchesLegacyEncoding: save writes the envelope
+// file, and so the Sum, the former round trips wrote, for traces and
+// results holding whitespace, HTML-significant characters, U+2028/U+2029
+// and non-ASCII text, and for an empty results map; and the entries load
+// back.
+func TestTraceCacheEnvelopeMatchesLegacyEncoding(t *testing.T) {
+	dir := t.TempDir()
+	tc := NewTraceCache(dir)
+	rec := func(name string) rt.TaskRecord {
+		r := rt.TaskRecord{Name: name, HasAccess: true, FaultKind: name}
+		r.ExecWork.Counts.Loads = 12
+		r.ExecWork.Mem.At[0][1] = 3
+		return r
+	}
+	for i, s := range []string{
+		"plain",
+		" spaced\tout\r\n ",
+		`<a href="x">&amp;</a>`,
+		"line\u2028para\u2029end",
+		"café \U0001F600 ÿ",
+	} {
+		out := &runOutput{Trace: &rt.Trace{Workload: s, Decoupled: i%2 == 0, Cores: 2, NumBatches: 1,
+			Records:     []rt.TaskRecord{rec(s), rec("t")},
+			Quarantined: map[string]string{s: s}}}
+		switch i % 3 {
+		case 1:
+			out.Results = map[string]*dae.Result{}
+		case 2:
+			out.Results = map[string]*dae.Result{
+				s:   {Strategy: dae.StrategySkeleton, Reason: s, TotalLoops: 3, NConvUn: 7},
+				"t": {Reason: "none: " + s},
+			}
+		}
+		key := fmt.Sprintf("v%d;app=<%s>;kind=%d", cacheVersion, s, i)
+		tc.put(key, out)
+		file, err := os.ReadFile(tc.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := legacyEnvelope(t, key, out); !bytes.Equal(file, want) {
+			t.Errorf("%q: envelope file differs from the legacy encoding:\n got %s\nwant %s", s, file, want)
+		}
+		if got, err := NewTraceCache(dir).load(key); err != nil || got == nil || !reflect.DeepEqual(got.Trace, out.Trace) {
+			t.Errorf("%q: entry does not load back (%v)", s, err)
+		}
+	}
+}
+
+// TestCacheLoadedAppDataEncodesAsFresh: a trace set re-encoded from a
+// trace-cache load has the bytes of the fresh collection's encoding, for
+// every app, so a daed artifact does not depend on the cache's state. The
+// loaded results carry has_access although they have no access version.
+func TestCacheLoadedAppDataEncodesAsFresh(t *testing.T) {
+	dir := t.TempDir()
+	cfg := rt.DefaultTraceConfig()
+	fresh, err := CollectAllWith(context.Background(), cfg, CollectOptions{Cache: NewTraceCache(dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := CollectAllWith(context.Background(), cfg, CollectOptions{Cache: NewTraceCache(dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh) != 7 || len(loaded) != len(fresh) {
+		t.Fatalf("collected %d and %d apps, want 7", len(fresh), len(loaded))
+	}
+	access := 0
+	for i, d := range fresh {
+		for name, r := range d.Results {
+			if (r.Access != nil) != (r.Strategy != dae.StrategyNone) {
+				t.Fatalf("%s/%s: access version %v with strategy %v", d.Name, name, r.Access != nil, r.Strategy)
+			}
+			if l := loaded[i].Results[name]; l == nil || l.Access != nil {
+				t.Fatalf("%s/%s: not a summary-only result from the cache", d.Name, name)
+			}
+			if r.Access != nil {
+				access++
+			}
+		}
+		want, err := json.Marshal(mustEncode(t, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(mustEncode(t, loaded[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the cache-loaded trace set encodes differently from the fresh one", d.Name)
+		}
+	}
+	if access == 0 {
+		t.Fatal("no task has an access version: the has_access check saw nothing")
+	}
+}
+
+func mustEncode(t *testing.T, d *AppData) *AppDataWire {
+	t.Helper()
+	w, err := EncodeAppData(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }

@@ -11,7 +11,8 @@ import (
 // ResultSummary is the persistable/wire summary of a dae.Result: the
 // Table 1 and strategy-report fields. The generated IR functions are
 // process-local and never serialized, so a decoded Result carries summaries
-// only (HasAccess records whether an access version existed).
+// only (HasAccess records whether an access version existed; a decoded
+// Result keeps that in its Strategy).
 //
 // It is shared by the trace-cache envelope and the /v1/trace wire format,
 // so a daed node and a local cache agree byte-for-byte on what a stored
@@ -29,6 +30,10 @@ type ResultSummary struct {
 }
 
 // summarizeResult projects a dae.Result onto its serializable summary.
+// HasAccess comes from the Strategy, which is StrategyNone exactly when no
+// access version was generated, so a summary-only Result (decoded from the
+// wire or a trace-cache load, with no Access) summarizes as the fresh one
+// did.
 func summarizeResult(r *dae.Result) ResultSummary {
 	return ResultSummary{
 		Strategy:    int(r.Strategy),
@@ -39,7 +44,7 @@ func summarizeResult(r *dae.Result) ResultSummary {
 		MergedNests: r.MergedNests,
 		NConvUn:     r.NConvUn,
 		NOrig:       r.NOrig,
-		HasAccess:   r.Access != nil,
+		HasAccess:   r.Strategy != dae.StrategyNone,
 	}
 }
 
