@@ -54,7 +54,8 @@ type CollectOptions struct {
 	Workers int
 	// Cache, when non-nil, memoizes each (app, run, config) trace so that
 	// repeated collections — e.g. the refined re-trace, which changes only
-	// the Auto run — reuse prior work instead of re-simulating.
+	// the Auto run, and not even that where refinement prunes nothing —
+	// reuse prior work instead of re-simulating.
 	Cache *TraceCache
 	// Refine, when non-nil, applies profile-guided pruning to the Auto run.
 	Refine *RefineSpec
@@ -137,11 +138,21 @@ func collectRun(ctx context.Context, app bench.App, kind runKind, cfg rt.TraceCo
 		return nil, err
 	}
 	if kind == runAuto && opts.Refine != nil {
-		if err := guard(inject.SiteAccessGen, app.Name, kind, opts.Inject, func() error {
-			_, err := b.Refine(opts.Refine.Options, opts.Refine.PerTask)
+		pruned := 0
+		if err := guard(inject.SiteAccessGen, app.Name, kind, opts.Inject, func() (err error) {
+			pruned, err = b.Refine(opts.Refine.Options, opts.Refine.PerTask)
 			return err
 		}); err != nil {
 			return nil, err
+		}
+		if pruned == 0 && opts.Cache != nil {
+			// Refinement that prunes nothing leaves every access version
+			// untouched, so this build is the unrefined build and, builds
+			// being deterministic, traces identically: share the unrefined
+			// run instead of simulating it again.
+			plain := opts
+			plain.Refine = nil
+			return cachedRun(ctx, app, kind, cfg, plain)
 		}
 	}
 	c := cfg

@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dae/internal/bench"
@@ -98,44 +101,125 @@ func TestCollectAggregatesErrors(t *testing.T) {
 	}
 }
 
-// TestTraceCacheSharing: a refined collection only re-traces the compiler-DAE
-// decoupled runs; the coupled and manual traces come from the shared cache
-// (same pointers), and a repeated plain collection is served entirely from
-// the cache.
-func TestTraceCacheSharing(t *testing.T) {
-	app, err := bench.AppByName("LibQ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := rt.DefaultTraceConfig()
-	cache := NewTraceCache("")
+// phaseCounter counts the task phases a collection runs, per run kind.
+type phaseCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
 
-	plain, err := CollectWith(context.Background(), app, cfg, CollectOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+func (pc *phaseCounter) hook(app, kind, task string, access bool) error {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.n == nil {
+		pc.n = map[string]int{}
 	}
-	again, err := CollectWith(context.Background(), app, cfg, CollectOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+	pc.n[kind]++
+	return nil
+}
+
+// TestTraceCacheSharing: a refined collection only re-traces the compiler-DAE
+// decoupled runs whose refinement pruned a prefetch; the coupled and manual
+// traces come from the shared cache (same pointers), and so does the
+// compiler-DAE trace when refinement pruned nothing. A repeated plain
+// collection is served entirely from the cache.
+func TestTraceCacheSharing(t *testing.T) {
+	cfg := rt.DefaultTraceConfig()
+	dir := t.TempDir()
+	cache := NewTraceCache(dir)
+	spec := &RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
+	collect := func(name string, refine *RefineSpec) (*AppData, map[string]int) {
+		t.Helper()
+		app, err := bench.AppByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pc phaseCounter
+		d, err := CollectWith(context.Background(), app, cfg, CollectOptions{
+			Cache: cache, Refine: refine, InjectPhase: pc.hook,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, pc.n
 	}
+
+	plain, _ := collect("LibQ", nil)
+	again, phases := collect("LibQ", nil)
 	if again.CAE != plain.CAE || again.Manual != plain.Manual || again.Auto != plain.Auto {
 		t.Error("repeated collection should be served from the cache (same trace pointers)")
 	}
-
-	refined, err := CollectWith(context.Background(), app, cfg, CollectOptions{
-		Cache:  cache,
-		Refine: &RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if len(phases) != 0 {
+		t.Errorf("repeated collection ran phases %v, want none", phases)
 	}
+
+	// LibQ's refinement prunes no prefetch, so the refined build is the
+	// unrefined build: nothing is simulated again.
+	refined, phases := collect("LibQ", spec)
 	if refined.CAE != plain.CAE {
 		t.Error("refined collection should reuse the cached coupled trace")
 	}
 	if refined.Manual != plain.Manual {
 		t.Error("refined collection should reuse the cached manual trace")
 	}
-	if refined.Auto == plain.Auto {
-		t.Error("refined collection must re-trace the compiler-DAE run")
+	if refined.Auto != plain.Auto {
+		t.Error("LibQ's refined collection pruned nothing and should reuse the unrefined compiler-DAE trace")
+	}
+	if len(phases) != 0 {
+		t.Errorf("LibQ's refined collection ran phases %v, want none", phases)
+	}
+	// The refined run still has its own entry, so a later process finds it
+	// on disk: coupled, manual, compiler-DAE and refined compiler-DAE.
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 4 {
+		t.Errorf("cache holds %d envelopes after LibQ's plain and refined collections, want 4", len(files))
+	}
+
+	// CG's refinement prunes a prefetch: its compiler-DAE run re-traces.
+	cgPlain, _ := collect("CG", nil)
+	cgRefined, phases := collect("CG", spec)
+	if cgRefined.CAE != cgPlain.CAE || cgRefined.Manual != cgPlain.Manual {
+		t.Error("CG's refined collection should reuse the cached coupled and manual traces")
+	}
+	if cgRefined.Auto == cgPlain.Auto {
+		t.Error("CG's refined collection pruned a prefetch and must re-trace the compiler-DAE run")
+	}
+	if phases["compiler-dae"] == 0 || phases["coupled"] != 0 || phases["manual-dae"] != 0 {
+		t.Errorf("CG's refined collection ran phases %v, want compiler-dae only", phases)
+	}
+}
+
+// TestRefinePruningNothingTracesIdentically is the premise of the reuse in
+// TestTraceCacheSharing: where refinement prunes no prefetch (LU and LibQ
+// today), the refined compiler-DAE run, simulated with no cache, encodes
+// byte for byte like the unrefined one.
+func TestRefinePruningNothingTracesIdentically(t *testing.T) {
+	cfg := rt.DefaultTraceConfig()
+	spec := &RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
+	for _, name := range []string{"LU", "LibQ"} {
+		app, err := bench.AppByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := app.Build(bench.Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned, err := b.Refine(spec.Options, spec.PerTask); err != nil || pruned != 0 {
+			t.Fatalf("%s: refinement pruned %d prefetches (err %v), want 0", name, pruned, err)
+		}
+		encode := func(refine *RefineSpec) []byte {
+			t.Helper()
+			out, err := collectRun(context.Background(), app, runAuto, cfg, CollectOptions{Refine: refine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := rt.EncodeTrace(out.Trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}
+		if !bytes.Equal(encode(spec), encode(nil)) {
+			t.Errorf("%s: refined trace differs from the unrefined trace although nothing was pruned", name)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package poly
 
+import "encoding/binary"
+
 // Enumerate visits every integer point of the polyhedron at the given
 // parameter values, in lexicographic order. The yield function receives a
 // reused buffer; copy it to retain. Enumeration precomputes the chain of
@@ -97,10 +99,10 @@ type AffineMap struct {
 	Rows [][]int64
 }
 
-// Apply maps one iteration point.
-func (m *AffineMap) Apply(pt, params []int64) []int64 {
-	out := make([]int64, len(m.Rows))
-	for d, row := range m.Rows {
+// appendImage appends the image of one iteration point to key, each
+// coordinate as 8 little-endian bytes.
+func (m *AffineMap) appendImage(key []byte, pt, params []int64) []byte {
+	for _, row := range m.Rows {
 		s := row[len(row)-1]
 		for i := 0; i < m.NVar; i++ {
 			s += row[i] * pt[i]
@@ -108,43 +110,27 @@ func (m *AffineMap) Apply(pt, params []int64) []int64 {
 		for j := 0; j < m.NPar; j++ {
 			s += row[m.NVar+j] * params[j]
 		}
-		out[d] = s
+		key = binary.LittleEndian.AppendUint64(key, uint64(s))
 	}
-	return out
-}
-
-// ImagePoints returns the set of distinct image points of dom under m at the
-// given parameters, as a map keyed by the image coordinates.
-func ImagePoints(dom *Polyhedron, m *AffineMap, params []int64) map[string][]int64 {
-	out := make(map[string][]int64)
-	dom.Enumerate(params, func(pt []int64) {
-		img := m.Apply(pt, params)
-		out[pointKey(img)] = img
-	})
-	return out
+	return key
 }
 
 // CountDistinctImages counts the distinct image points of several
 // (domain, map) pairs at the given parameters — NOrig of §5.1.2: the number
-// of unique memory locations touched by the original accesses.
+// of unique memory locations touched by the original accesses. Each image
+// is keyed in one reused buffer; a key string is allocated only when a new
+// cell enters the set (the lookup through string(key) does not allocate).
 func CountDistinctImages(doms []*Polyhedron, maps []*AffineMap, params []int64) int64 {
-	seen := make(map[string]bool)
-	for i := range doms {
-		dom, m := doms[i], maps[i]
+	seen := make(map[string]struct{})
+	var key []byte
+	for i, dom := range doms {
+		m := maps[i]
 		dom.Enumerate(params, func(pt []int64) {
-			seen[pointKey(m.Apply(pt, params))] = true
+			key = m.appendImage(key[:0], pt, params)
+			if _, ok := seen[string(key)]; !ok {
+				seen[string(key)] = struct{}{}
+			}
 		})
 	}
 	return int64(len(seen))
-}
-
-func pointKey(pt []int64) string {
-	b := make([]byte, 0, len(pt)*9)
-	for _, v := range pt {
-		for k := 0; k < 8; k++ {
-			b = append(b, byte(v>>(8*k)))
-		}
-		b = append(b, ':')
-	}
-	return string(b)
 }

@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -192,11 +193,18 @@ func TestAffineMapImage(t *testing.T) {
 		{1, 0, 0, 0}, // i
 	}}
 	params := []int64{6}
-	imgs := ImagePoints(p, m, params)
+	imgs := map[[2]int64]bool{}
+	p.Enumerate(params, func(pt []int64) {
+		img := refApply(m, pt, params)
+		imgs[[2]int64{img[0], img[1]}] = true
+	})
 	if int64(len(imgs)) != p.CountPoints(params) {
 		t.Errorf("images = %d, domain = %d", len(imgs), p.CountPoints(params))
 	}
-	for _, pt := range imgs {
+	if got := CountDistinctImages([]*Polyhedron{p}, []*AffineMap{m}, params); got != int64(len(imgs)) {
+		t.Errorf("CountDistinctImages = %d, enumerated images = %d", got, len(imgs))
+	}
+	for pt := range imgs {
 		if !(pt[1] < pt[0]) {
 			t.Errorf("image %v should satisfy i < j transposed", pt)
 		}
@@ -289,5 +297,179 @@ func TestDedupAndTrivial(t *testing.T) {
 	p.AddConstraint([]int64{0, -3}) // trivially false
 	if p.dedup() {
 		t.Error("dedup should detect trivially-false constraint")
+	}
+}
+
+// refCountDistinctImages is the original NOrig count — a fresh image slice
+// and a fresh key string for every enumerated point — kept as the oracle
+// for CountDistinctImages.
+func refCountDistinctImages(doms []*Polyhedron, maps []*AffineMap, params []int64) int64 {
+	seen := make(map[string]bool)
+	for i := range doms {
+		dom, m := doms[i], maps[i]
+		dom.Enumerate(params, func(pt []int64) {
+			seen[refPointKey(refApply(m, pt, params))] = true
+		})
+	}
+	return int64(len(seen))
+}
+
+func refApply(m *AffineMap, pt, params []int64) []int64 {
+	out := make([]int64, len(m.Rows))
+	for d, row := range m.Rows {
+		s := row[len(row)-1]
+		for i := 0; i < m.NVar; i++ {
+			s += row[i] * pt[i]
+		}
+		for j := 0; j < m.NPar; j++ {
+			s += row[m.NVar+j] * params[j]
+		}
+		out[d] = s
+	}
+	return out
+}
+
+func refPointKey(pt []int64) string {
+	b := make([]byte, 0, len(pt)*9)
+	for _, v := range pt {
+		for k := 0; k < 8; k++ {
+			b = append(b, byte(v>>(8*k)))
+		}
+		b = append(b, ':')
+	}
+	return string(b)
+}
+
+// genImageCase builds a small NOrig input from the choices next makes
+// (next(n) returns a value in [0, n)): one to three accesses of one array
+// of rank 1–3, each over its own domain of 1–3 variables and 0–2
+// parameters, with negative coefficients, possibly empty domains, and
+// duplicated (domain, map) pairs.
+func genImageCase(next func(n int) int) (doms []*Polyhedron, maps []*AffineMap, params []int64) {
+	npar := next(3)
+	params = make([]int64, npar)
+	for j := range params {
+		params[j] = int64(next(5)) - 1 // -1..3
+	}
+	coef := func() int64 { return int64(next(5)) - 2 } // -2..2
+	rank := 1 + next(3)
+	for a, nacc := 0, 1+next(3); a < nacc; a++ {
+		if a > 0 && next(4) == 0 {
+			k := next(a)
+			doms, maps = append(doms, doms[k]), append(maps, maps[k])
+			continue
+		}
+		nvar := 1 + next(3)
+		dom := NewPolyhedron(nvar, npar)
+		w := dom.width()
+		for i := 0; i < nvar; i++ {
+			lo := make([]int64, w)
+			lo[i], lo[w-1] = 1, int64(next(5))-1 // x_i >= 1-c
+			dom.AddConstraint(lo)
+			hi := make([]int64, w)
+			hi[i], hi[w-1] = -1, int64(next(5))-1 // x_i <= c-1 (+ params)
+			for j := 0; j < npar; j++ {
+				hi[nvar+j] = int64(next(2))
+			}
+			dom.AddConstraint(hi)
+		}
+		if next(2) == 0 { // one arbitrary extra constraint
+			c := make([]int64, w)
+			for k := range c {
+				c[k] = coef()
+			}
+			dom.AddConstraint(c)
+		}
+		m := &AffineMap{NVar: nvar, NPar: npar, Rows: make([][]int64, rank)}
+		for d := range m.Rows {
+			m.Rows[d] = make([]int64, w)
+			for k := range m.Rows[d] {
+				m.Rows[d][k] = coef()
+			}
+		}
+		doms, maps = append(doms, dom), append(maps, m)
+	}
+	return doms, maps, params
+}
+
+func TestCountDistinctImagesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	nonEmpty := 0
+	for trial := 0; trial < 2000; trial++ {
+		doms, maps, params := genImageCase(rng.Intn)
+		want := refCountDistinctImages(doms, maps, params)
+		if got := CountDistinctImages(doms, maps, params); got != want {
+			t.Fatalf("trial %d: CountDistinctImages = %d, reference %d (params %v)", trial, got, want, params)
+		}
+		if want > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 500 {
+		t.Errorf("only %d of 2000 generated cases touch any cell; the generator is too narrow", nonEmpty)
+	}
+}
+
+func FuzzCountDistinctImages(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 4, 4, 2, 1, 2, 3, 3, 0, 1, 1, 4, 0, 3, 2, 1, 0, 4, 3, 2})
+	f.Add([]byte{1, 0, 2, 2, 2, 3, 4, 4, 1, 0, 1, 2, 3, 4, 0, 0, 1, 2, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v
+		}
+		doms, maps, params := genImageCase(next)
+		if got, want := CountDistinctImages(doms, maps, params), refCountDistinctImages(doms, maps, params); got != want {
+			t.Fatalf("CountDistinctImages = %d, reference %d", got, want)
+		}
+	})
+}
+
+// updateClass is the output class of a blocked matrix update: C[i][j] over
+// { 0 <= i < P0, 0 <= j < P1, 0 <= k < P2 }, the shape of LU's
+// trailing-update tasks. At parameters (32, 32, depth) it touches 1024
+// cells whatever the depth, from 1024·depth points.
+func updateClass() ([]*Polyhedron, []*AffineMap) {
+	dom := box(3)
+	m := &AffineMap{NVar: 3, NPar: 3, Rows: [][]int64{
+		{1, 0, 0, 0, 0, 0, 0},
+		{0, 1, 0, 0, 0, 0, 0},
+	}}
+	return []*Polyhedron{dom}, []*AffineMap{m}
+}
+
+func TestCountDistinctImagesAllocsIndependentOfPoints(t *testing.T) {
+	doms, maps := updateClass()
+	allocs := func(depth int64) float64 {
+		params := []int64{32, 32, depth}
+		if got := CountDistinctImages(doms, maps, params); got != 1024 {
+			t.Fatalf("depth %d: %d cells, want 1024", depth, got)
+		}
+		return testing.AllocsPerRun(5, func() { CountDistinctImages(doms, maps, params) })
+	}
+	// The old count allocated twice per point: 7k more allocations here.
+	shallow, deep := allocs(1), allocs(8)
+	if deep > shallow+16 {
+		t.Errorf("allocations grow with the point count: %v at 1024 points, %v at 8192", shallow, deep)
+	}
+}
+
+var countSink int64
+
+func BenchmarkCountDistinctImages(b *testing.B) {
+	doms, maps := updateClass()
+	for _, depth := range []int64{8, 32, 128} {
+		params := []int64{32, 32, depth}
+		b.Run(fmt.Sprintf("points=%d", 1024*depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				countSink = CountDistinctImages(doms, maps, params)
+			}
+		})
 	}
 }
