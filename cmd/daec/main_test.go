@@ -26,9 +26,9 @@ func TestAnalyzeModuleDemo(t *testing.T) {
 	for _, want := range []string{
 		"task @lu: purity PASS",
 		"coverage 100.0% (exact)",
-		"wcec",        // static bound line
-		"(exact)",     // affine nest at concrete hints → exact kind
-		"rwcec",       // at least one decision point in the RWCEC table
+		"wcec",    // static bound line
+		"(exact)", // affine nest at concrete hints → exact kind
+		"rwcec",   // at least one decision point in the RWCEC table
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -75,9 +75,9 @@ func TestSoakTimed(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	rep, err := Soak(Config{
-		Seed:        7,
-		Duration:    time.Duration(secs) * time.Second,
-		IterTimeout: 60 * time.Second,
+		Seed:           7,
+		Duration:       time.Duration(secs) * time.Second,
+		IterTimeout:    60 * time.Second,
 		CacheSoak:      true,
 		ServerSoak:     true,
 		ClusterSoak:    true,

@@ -11,7 +11,6 @@ package daed
 
 import (
 	"fmt"
-	"time"
 
 	"dae/internal/bench"
 	"dae/internal/dvfs"
@@ -144,19 +143,6 @@ func (req *SimulateRequest) Key() (string, error) {
 	return p.key, nil
 }
 
-// timeout resolves the request's wait deadline against the server default
-// and ceiling.
-func (req *SimulateRequest) timeout(def, max time.Duration) time.Duration {
-	d := def
-	if req.TimeoutMs > 0 {
-		d = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
-}
-
 // simArtifact is the stored (and therefore shareable) part of a simulate
 // result: everything except per-request serving metadata.
 type simArtifact struct {
@@ -213,17 +199,6 @@ func (req *CompileRequest) compileKey() string {
 
 // Key returns the request's content key (see SimulateRequest.Key).
 func (req *CompileRequest) Key() (string, error) { return req.compileKey(), nil }
-
-func (req *CompileRequest) timeout(def, max time.Duration) time.Duration {
-	d := def
-	if req.TimeoutMs > 0 {
-		d = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
-}
 
 // CompileResponse is the wire response of POST /v1/compile. Strategies is
 // the generation-decision report; Purity holds the per-task purity verdict

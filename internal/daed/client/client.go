@@ -105,8 +105,8 @@ type node struct {
 type nodeState int
 
 const (
-	healthy  nodeState = iota
-	probing            // probation expired; one request may probe it
+	healthy nodeState = iota
+	probing           // probation expired; one request may probe it
 	ejected
 )
 

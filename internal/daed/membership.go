@@ -132,6 +132,7 @@ func (s *Server) adoptView(epoch uint64, members []string) (*ring.View, bool) {
 		return nv, false
 	}
 	s.cfg.Log.Printf("daed: membership epoch %d: %v", nv.Epoch, nv.Members())
+	s.forgetRepairsBefore(nv.Epoch)
 	selfIn := false
 	for _, m := range nv.Members() {
 		selfIn = selfIn || m == c.self

@@ -2,7 +2,6 @@ package daed
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"dae/internal/daed/ring"
@@ -116,7 +115,7 @@ func (s *Server) maybeReadRepair(v *ring.View, key string, payload []byte) {
 	if c == nil || v == nil || c.owns(v, key) {
 		return
 	}
-	if _, dup := s.readRepaired.LoadOrStore(fmt.Sprintf("%d/%s", v.Epoch, key), struct{}{}); dup {
+	if _, dup := s.readRepaired.LoadOrStore(repairMark{v.Epoch, key}, struct{}{}); dup {
 		return
 	}
 	body := append([]byte(nil), payload...)
@@ -143,6 +142,25 @@ func (s *Server) maybeReadRepair(v *ring.View, key string, payload []byte) {
 			}
 		}
 	}()
+}
+
+// repairMark is one (epoch, key) pair maybeReadRepair has pushed.
+type repairMark struct {
+	epoch uint64
+	key   string
+}
+
+// forgetRepairsBefore drops the read-repair marks of epochs before epoch:
+// a newer view recomputes ownership, so an older mark never matches again.
+// A request still pinned to an older view may add one after the sweep; the
+// next adoption drops it.
+func (s *Server) forgetRepairsBefore(epoch uint64) {
+	s.readRepaired.Range(func(k, _ any) bool {
+		if k.(repairMark).epoch < epoch {
+			s.readRepaired.Delete(k)
+		}
+		return true
+	})
 }
 
 // pullFromReplicas is the pull direction of read-repair: this node owns key

@@ -23,6 +23,7 @@ import (
 	"dae/internal/eval"
 	"dae/internal/fault"
 	"dae/internal/fault/inject"
+	"dae/internal/flight"
 )
 
 // Config configures a Server.
@@ -132,25 +133,25 @@ func (c Config) withDefaults() Config {
 // pipeline behind a content-addressed artifact store, request singleflight,
 // an admission-controlled job queue, and per-tenant quarantine.
 type Server struct {
-	cfg      Config
-	traces   *eval.TraceCache
-	store    *store.Store
+	cfg          Config
+	traces       *eval.TraceCache
+	store        *store.Store
 	q            *queue
-	sims         flightMap[*simArtifact]
-	comps        flightMap[*compileArtifact]
-	traceFlights flightMap[*traceArtifact]
-	tenants  tenantRegistry
-	stats    stats
-	mux      *http.ServeMux
-	cluster  *cluster
-	draining atomic.Bool
-	repWG    sync.WaitGroup // in-flight write-behind replications
+	sims         flight.Group[string, *simArtifact]
+	comps        flight.Group[string, *compileArtifact]
+	traceFlights flight.Group[string, *traceArtifact]
+	tenants      tenantRegistry
+	stats        stats
+	mux          *http.ServeMux
+	cluster      *cluster
+	draining     atomic.Bool
+	repWG        sync.WaitGroup // in-flight write-behind replications
 
 	stop         chan struct{}  // closed by Close: stops repair/gossip/warmup
 	loopWG       sync.WaitGroup // background loops (repair, gossip, warmup, leave-drain)
 	closed       atomic.Bool
 	warming      atomic.Bool // join warmup still streaming envelopes
-	readRepaired sync.Map    // (epoch, key) pairs already read-repaired
+	readRepaired sync.Map    // repairMark set: (epoch, key) pairs already read-repaired
 }
 
 // New returns a ready-to-serve Server.
@@ -305,32 +306,162 @@ func (s *Server) clampSteps(req int64) int64 {
 	return req
 }
 
-// handleSimulate serves POST /v1/simulate.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// decodeRequest counts one request and decodes its JSON body into req. It
+// answers 503 while the server drains and 400 for a malformed body, and
+// then reports false.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
 	s.stats.requests.Add(1)
 	if s.draining.Load() {
 		s.rejectDraining(w)
+		return false
+	}
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(req); err != nil {
+		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error(), Class: "parse"})
+		return false
+	}
+	return true
+}
+
+// badRequest answers 400 for a request that fails validation.
+func (s *Server) badRequest(w http.ResponseWriter, err error) {
+	s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Class: "parse"})
+}
+
+// hold pins key in the store for the life of the request, so budget
+// eviction never races an execution (or a hit being re-read) on it, and
+// bounds the request's wait by timeoutMs, defaulted and capped by the
+// config. release undoes both.
+func (s *Server) hold(r *http.Request, key string, timeoutMs int64) (ctx context.Context, release func()) {
+	s.store.Pin(key)
+	d := s.cfg.DefaultTimeout
+	if timeoutMs > 0 {
+		d = time.Duration(timeoutMs) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), min(d, s.cfg.MaxTimeout))
+	return ctx, func() {
+		cancel()
+		s.store.Unpin(key)
+	}
+}
+
+// served records a served request's latency and returns it in
+// milliseconds.
+func (s *Server) served(start time.Time) float64 {
+	ms := float64(time.Since(start)) / float64(time.Millisecond)
+	s.stats.observe(ms)
+	return ms
+}
+
+// ladder is what one content-keyed endpoint contributes to serve.
+type ladder[A any] struct {
+	key     string
+	path    string // the endpoint, for a proxy to forward req to
+	req     any
+	flights *flight.Group[string, A]
+	// hit answers the request from stored artifact bytes, counting the
+	// store hit; it writes nothing and reports false when the bytes cannot
+	// answer it.
+	hit func(b []byte) bool
+	// run executes the pipeline.
+	run func(ctx context.Context) (A, error)
+	// fresh answers the request from run's result; collapsed reports that
+	// another request's execution produced it.
+	fresh func(art A, collapsed bool)
+}
+
+// serve answers a content-keyed request under its bounded context ctx and
+// the membership view it pins at entry, trying in order: the local store,
+// a 421 redirect, a pull from co-owners, a proxy to the owners, and one
+// pipeline execution shared by every identical request in flight.
+func serve[A any](ctx context.Context, s *Server, w http.ResponseWriter, r *http.Request, l ladder[A]) {
+	v := s.clusterView()
+	if b, ok := s.store.Get(l.key); ok && l.hit(b) {
+		s.maybeReadRepair(v, l.key, b)
 		return
 	}
+	// A stale epoch-aware client is redirected to the current view (421)
+	// instead of served off-placement.
+	if s.notOwnerRedirect(w, r, v, l.key) {
+		return
+	}
+	// An owner that misses the envelope pulls it from a co-owner before
+	// paying a pipeline execution (read-repair, pull direction).
+	if b, ok := s.pullFromReplicas(ctx, v, l.key); ok && l.hit(b) {
+		return
+	}
+	// A miss on a key this node does not own goes to the owners first: they
+	// likely hold the artifact, and executing there keeps placement honest.
+	// If no owner can serve, fall through and execute locally.
+	if v != nil && s.proxy(w, r.WithContext(ctx), v, l.path, l.key, l.req) {
+		return
+	}
+	art, err, leader := l.flights.Do(ctx, l.key, l.run)
+	if err != nil {
+		s.writeError(w, r, err)
+		return
+	}
+	if !leader {
+		s.stats.collapsed.Add(1)
+	}
+	l.fresh(art, !leader)
+}
+
+// execute runs one pipeline execution: it waits for a worker slot in the
+// admission-controlled queue, counts the execution, bounds it by
+// MaxRunTime, and installs and replicates the artifact under key when
+// pipeline reports it clean.
+func execute[A any](ctx context.Context, s *Server, key string, pipeline func(context.Context) (art A, clean bool, err error)) (A, error) {
+	var zero A
+	if err := s.q.acquire(ctx); err != nil {
+		return zero, err
+	}
+	defer s.q.release()
+	s.stats.executions.Add(1)
+	s.stats.inFlight.Add(1)
+	defer s.stats.inFlight.Add(-1)
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxRunTime)
+	defer cancel()
+
+	art, clean, err := pipeline(ctx)
+	if err != nil {
+		return zero, err
+	}
+	if clean {
+		if b, err := json.Marshal(art); err == nil {
+			if err := s.install(key, b); err != nil {
+				s.cfg.Log.Printf("daed: artifact store write failed for %s: %v", key, err)
+			}
+			s.replicate(key, b)
+		}
+	}
+	return art, nil
+}
+
+// collectOptions returns the options a plan's collection runs with.
+func (s *Server) collectOptions(p *simPlan) eval.CollectOptions {
+	opts := eval.CollectOptions{Workers: s.cfg.RunWorkers, Cache: s.traces}
+	if p.refine {
+		opts.Refine = &eval.RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
+	}
+	return opts
+}
+
+// handleSimulate serves POST /v1/simulate.
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var req SimulateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error(), Class: "parse"})
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	req.MaxSteps = s.clampSteps(req.MaxSteps)
 	p, err := req.plan()
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Class: "parse"})
+		s.badRequest(w, err)
 		return
 	}
 	tenant := tenantOf(r)
-	// Pin the key for the life of the request: budget eviction must never
-	// race an in-flight execution (or a hit being re-read) on this key.
-	s.store.Pin(p.key)
-	defer s.store.Unpin(p.key)
-	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
+	ctx, release := s.hold(r, p.key, req.TimeoutMs)
+	defer release()
 
 	// Fault injection and prior tenant quarantine route to the
 	// tenant-scoped path: isolated from the shared store in both
@@ -339,63 +470,29 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.simulateTenant(w, r, ctx, p, tenant, prior, start)
 		return
 	}
-
-	v := s.clusterView() // pin the membership epoch for this request
-	if b, ok := s.store.Get(p.key); ok {
-		var art simArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondSim(w, &art, p.key, tenant, true, false, start)
-			s.maybeReadRepair(v, p.key, b)
-			return
-		}
-	}
-	// A stale epoch-aware client is redirected to the current view (421)
-	// instead of served off-placement.
-	if s.notOwnerRedirect(w, r, v, p.key) {
-		return
-	}
-	// An owner that misses the envelope pulls it from a co-owner before
-	// paying a pipeline execution (read-repair, pull direction).
-	if b, ok := s.pullFromReplicas(ctx, v, p.key); ok {
-		var art simArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondSim(w, &art, p.key, tenant, true, false, start)
-			return
-		}
-	}
-	// A miss on a key this node does not own goes to the owners first: they
-	// likely hold the artifact, and executing there keeps placement honest.
-	// If no owner can serve, fall through and execute locally.
-	if v != nil && s.proxy(w, r.WithContext(ctx), v, "/v1/simulate", p.key, &req) {
-		return
-	}
-	for {
-		f, leader := s.sims.join(p.key, func(pctx context.Context) (*simArtifact, error) {
-			return s.runSimulate(pctx, p, true)
-		})
-		art, err := f.wait(ctx)
-		if err != nil {
-			if !leader && errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-				// The flight we joined died under someone else's deadline;
-				// ours is alive, so retry on a fresh flight.
-				continue
+	serve(ctx, s, w, r, ladder[*simArtifact]{
+		key: p.key, path: "/v1/simulate", req: &req, flights: &s.sims,
+		hit: func(b []byte) bool {
+			var art simArtifact
+			if json.Unmarshal(b, &art) != nil {
+				return false
 			}
-			s.writeError(w, r, err)
-			return
-		}
-		if !leader {
-			s.stats.collapsed.Add(1)
-		}
-		s.respondSim(w, art, p.key, tenant, false, !leader, start)
-		return
-	}
+			s.respondSim(w, &art, p.key, tenant, true, false, start)
+			return true
+		},
+		run: func(ctx context.Context) (*simArtifact, error) { return s.runSimulate(ctx, p, true) },
+		fresh: func(art *simArtifact, collapsed bool) {
+			s.respondSim(w, art, p.key, tenant, false, collapsed, start)
+		},
+	})
 }
 
 // respondSim assembles and writes one successful simulate response,
 // recording any quarantine under the requesting tenant.
 func (s *Server) respondSim(w http.ResponseWriter, art *simArtifact, key, tenant string, cacheHit, collapsed bool, start time.Time) {
+	if cacheHit {
+		s.stats.storeHits.Add(1)
+	}
 	if len(art.Quarantined) > 0 {
 		s.tenants.record(tenant, art.App, art.Quarantined)
 	}
@@ -407,12 +504,11 @@ func (s *Server) respondSim(w http.ResponseWriter, art *simArtifact, key, tenant
 		CacheHit:    cacheHit,
 		Collapsed:   collapsed,
 		Key:         key,
-		ElapsedMs:   float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMs:   s.served(start),
 	}
 	if resp.Degraded {
 		s.stats.degraded.Add(1)
 	}
-	s.stats.observe(resp.ElapsedMs)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -444,137 +540,84 @@ func (s *Server) simulateTenant(w http.ResponseWriter, r *http.Request, ctx cont
 		Degraded:    len(merged) > 0,
 		Quarantined: merged,
 		Key:         p.key,
-		ElapsedMs:   float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMs:   s.served(start),
 	}
 	if resp.Degraded {
 		s.stats.degraded.Add(1)
 	}
-	s.stats.observe(resp.ElapsedMs)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// runSimulate executes the collect+evaluate pipeline for one plan under the
-// admission-controlled queue. store controls whether a clean artifact is
-// persisted in the shared store (the tenant-scoped path never stores).
+// runSimulate executes the collect+evaluate pipeline for one plan.
+// storeArtifact controls whether a clean artifact is persisted in the
+// shared store (the tenant-scoped path never stores).
 func (s *Server) runSimulate(ctx context.Context, p *simPlan, storeArtifact bool) (*simArtifact, error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.q.release()
-	s.stats.executions.Add(1)
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxRunTime)
-	defer cancel()
-
-	opts := eval.CollectOptions{Workers: s.cfg.RunWorkers, Cache: s.traces}
-	if p.refine {
-		opts.Refine = &eval.RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
-	}
-	if len(p.rules) > 0 {
-		// Injection must observe a real collection: a warm shared trace
-		// cache would serve the healthy trace and the fault would never
-		// fire. Injected requests collect uncached — and never write, so
-		// their degraded traces cannot reach other tenants either.
-		opts.Cache = nil
-		in := inject.New(p.rules...)
-		opts.Inject = in.Hook()
-		opts.InjectPhase = in.PhaseFunc()
-	}
-	data, err := eval.CollectWith(ctx, p.app, p.cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	art := &simArtifact{App: p.app.Name, Report: eval.FormatRunReport(data, p.machine)}
-	for _, row := range eval.DegradationRows([]*eval.AppData{data}) {
-		for task, kind := range row.Quarantined {
-			if art.Quarantined == nil {
-				art.Quarantined = make(map[string]string)
-			}
-			art.Quarantined[task] = kind
+	return execute(ctx, s, p.key, func(ctx context.Context) (*simArtifact, bool, error) {
+		opts := s.collectOptions(p)
+		if len(p.rules) > 0 {
+			// Injection must observe a real collection: a warm shared trace
+			// cache would serve the healthy trace and the fault would never
+			// fire. Injected requests collect uncached — and never write, so
+			// their degraded traces cannot reach other tenants either.
+			opts.Cache = nil
+			in := inject.New(p.rules...)
+			opts.Inject = in.Hook()
+			opts.InjectPhase = in.PhaseFunc()
 		}
-	}
-	if storeArtifact && len(art.Quarantined) == 0 {
-		if b, err := json.Marshal(art); err == nil {
-			if err := s.store.Put(p.key, b); err != nil {
-				s.cfg.Log.Printf("daed: artifact store write failed for %s: %v", p.key, err)
-			}
-			s.replicate(p.key, b)
+		data, err := eval.CollectWith(ctx, p.app, p.cfg, opts)
+		if err != nil {
+			return nil, false, err
 		}
-	}
-	return art, nil
+		art := &simArtifact{App: p.app.Name, Report: eval.FormatRunReport(data, p.machine)}
+		for _, row := range eval.DegradationRows([]*eval.AppData{data}) {
+			for task, kind := range row.Quarantined {
+				if art.Quarantined == nil {
+					art.Quarantined = make(map[string]string)
+				}
+				art.Quarantined[task] = kind
+			}
+		}
+		return art, storeArtifact && len(art.Quarantined) == 0, nil
+	})
 }
 
 // handleCompile serves POST /v1/compile.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.stats.requests.Add(1)
-	if s.draining.Load() {
-		s.rejectDraining(w)
-		return
-	}
 	var req CompileRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error(), Class: "parse"})
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	app, err := bench.AppByName(req.App)
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Class: "parse"})
+		s.badRequest(w, err)
 		return
 	}
 	key := req.compileKey()
-	s.store.Pin(key)
-	defer s.store.Unpin(key)
-	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
-
-	v := s.clusterView()
-	if b, ok := s.store.Get(key); ok {
-		var art compileArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondCompile(w, &art, key, true, false, start)
-			s.maybeReadRepair(v, key, b)
-			return
-		}
-	}
-	if s.notOwnerRedirect(w, r, v, key) {
-		return
-	}
-	if b, ok := s.pullFromReplicas(ctx, v, key); ok {
-		var art compileArtifact
-		if err := json.Unmarshal(b, &art); err == nil {
-			s.stats.storeHits.Add(1)
-			s.respondCompile(w, &art, key, true, false, start)
-			return
-		}
-	}
-	if v != nil && s.proxy(w, r.WithContext(ctx), v, "/v1/compile", key, &req) {
-		return
-	}
-	for {
-		f, leader := s.comps.join(key, func(pctx context.Context) (*compileArtifact, error) {
-			return s.runCompile(pctx, app, req.Refine, key)
-		})
-		art, err := f.wait(ctx)
-		if err != nil {
-			if !leader && errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-				continue
+	ctx, release := s.hold(r, key, req.TimeoutMs)
+	defer release()
+	serve(ctx, s, w, r, ladder[*compileArtifact]{
+		key: key, path: "/v1/compile", req: &req, flights: &s.comps,
+		hit: func(b []byte) bool {
+			var art compileArtifact
+			if json.Unmarshal(b, &art) != nil {
+				return false
 			}
-			s.writeError(w, r, err)
-			return
-		}
-		if !leader {
-			s.stats.collapsed.Add(1)
-		}
-		s.respondCompile(w, art, key, false, !leader, start)
-		return
-	}
+			s.respondCompile(w, &art, key, true, false, start)
+			return true
+		},
+		run: func(ctx context.Context) (*compileArtifact, error) { return s.runCompile(ctx, app, req.Refine, key) },
+		fresh: func(art *compileArtifact, collapsed bool) {
+			s.respondCompile(w, art, key, false, collapsed, start)
+		},
+	})
 }
 
 func (s *Server) respondCompile(w http.ResponseWriter, art *compileArtifact, key string, cacheHit, collapsed bool, start time.Time) {
-	resp := &CompileResponse{
+	if cacheHit {
+		s.stats.storeHits.Add(1)
+	}
+	s.writeJSON(w, http.StatusOK, &CompileResponse{
 		App:        art.App,
 		Strategies: art.Strategies,
 		Purity:     art.Purity,
@@ -582,68 +625,54 @@ func (s *Server) respondCompile(w http.ResponseWriter, art *compileArtifact, key
 		CacheHit:   cacheHit,
 		Collapsed:  collapsed,
 		Key:        key,
-		ElapsedMs:  float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	s.stats.observe(resp.ElapsedMs)
-	s.writeJSON(w, http.StatusOK, resp)
+		ElapsedMs:  s.served(start),
+	})
 }
 
 // runCompile builds one app and renders its static artifacts: the
 // generation-decision report, per-task purity verdicts, and the generated
 // access variants' IR listings. Compilation is deterministic, so the
 // artifact always enters the shared store.
-func (s *Server) runCompile(ctx context.Context, app bench.App, refine bool, key string) (art *compileArtifact, err error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.q.release()
-	s.stats.executions.Add(1)
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-	defer fault.Recover(&err, "compile")
-
-	b, err := app.Build(bench.Auto)
-	if err != nil {
-		return nil, err
-	}
-	if refine {
-		if _, err := b.Refine(daepass.DefaultRefine(), 4); err != nil {
-			return nil, err
+func (s *Server) runCompile(ctx context.Context, app bench.App, refine bool, key string) (*compileArtifact, error) {
+	return execute(ctx, s, key, func(context.Context) (art *compileArtifact, clean bool, err error) {
+		defer fault.Recover(&err, "compile")
+		b, err := app.Build(bench.Auto)
+		if err != nil {
+			return nil, false, err
 		}
-	}
-	art = &compileArtifact{
-		App:        app.Name,
-		Strategies: eval.FormatStrategies([]*eval.AppData{{Name: app.Name, Results: b.Results}}),
-		Modules:    make(map[string]string),
-	}
-	names := make([]string, 0, len(b.Results))
-	for n := range b.Results {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	purity := ""
-	for _, n := range names {
-		res := b.Results[n]
-		if res.Access == nil {
-			purity += fmt.Sprintf("task @%s: no access version (%s)\n", n, res.Reason)
-			continue
+		if refine {
+			if _, err := b.Refine(daepass.DefaultRefine(), 4); err != nil {
+				return nil, false, err
+			}
 		}
-		diags := analysis.VerifyAccessPurity(res.Access)
-		if analysis.HasErrors(diags) {
-			purity += fmt.Sprintf("task @%s: purity FAIL\n%s", n, analysis.Format(diags))
-		} else {
-			purity += fmt.Sprintf("task @%s: purity PASS (strategy=%s)\n", n, res.Strategy)
+		art = &compileArtifact{
+			App:        app.Name,
+			Strategies: eval.FormatStrategies([]*eval.AppData{{Name: app.Name, Results: b.Results}}),
+			Modules:    make(map[string]string),
 		}
-		art.Modules[n] = res.Access.String()
-	}
-	art.Purity = purity
-	if b, err := json.Marshal(art); err == nil {
-		if err := s.store.Put(key, b); err != nil {
-			s.cfg.Log.Printf("daed: artifact store write failed for %s: %v", key, err)
+		names := make([]string, 0, len(b.Results))
+		for n := range b.Results {
+			names = append(names, n)
 		}
-		s.replicate(key, b)
-	}
-	return art, nil
+		sort.Strings(names)
+		purity := ""
+		for _, n := range names {
+			res := b.Results[n]
+			if res.Access == nil {
+				purity += fmt.Sprintf("task @%s: no access version (%s)\n", n, res.Reason)
+				continue
+			}
+			diags := analysis.VerifyAccessPurity(res.Access)
+			if analysis.HasErrors(diags) {
+				purity += fmt.Sprintf("task @%s: purity FAIL\n%s", n, analysis.Format(diags))
+			} else {
+				purity += fmt.Sprintf("task @%s: purity PASS (strategy=%s)\n", n, res.Strategy)
+			}
+			art.Modules[n] = res.Access.String()
+		}
+		art.Purity = purity
+		return art, true, nil
+	})
 }
 
 // handleStats serves GET /v1/stats.

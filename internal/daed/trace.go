@@ -5,15 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	daepass "dae/internal/dae"
 	"dae/internal/eval"
-	"dae/internal/fault"
 )
 
 // TraceRequest asks the server for one app's full collected trace set (the
@@ -130,93 +127,48 @@ func (req *TraceRequest) Key() (string, error) {
 	return p.key, nil
 }
 
-func (req *TraceRequest) timeout(def, max time.Duration) time.Duration {
-	d := def
-	if req.TimeoutMs > 0 {
-		d = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
-}
-
 // handleTrace serves POST /v1/trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.stats.requests.Add(1)
-	if s.draining.Load() {
-		s.rejectDraining(w)
-		return
-	}
 	var req TraceRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error(), Class: "parse"})
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	req.MaxSteps = s.clampSteps(req.MaxSteps)
 	p, err := req.plan()
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Class: "parse"})
+		s.badRequest(w, err)
 		return
 	}
-	s.store.Pin(p.key)
-	defer s.store.Unpin(p.key)
-	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout))
-	defer cancel()
-
-	v := s.clusterView()
-	if b, ok := s.store.Get(p.key); ok && spliceable(b) {
-		s.stats.storeHits.Add(1)
-		s.respondTraceHit(w, b, p.key, start)
-		s.maybeReadRepair(v, p.key, b)
-		return
-	}
-	if s.notOwnerRedirect(w, r, v, p.key) {
-		return
-	}
-	if b, ok := s.pullFromReplicas(ctx, v, p.key); ok && spliceable(b) {
-		s.stats.storeHits.Add(1)
-		s.respondTraceHit(w, b, p.key, start)
-		return
-	}
-	if v != nil && s.proxy(w, r.WithContext(ctx), v, "/v1/trace", p.key, &req) {
-		return
-	}
-	for {
-		f, leader := s.traceFlights.join(p.key, func(pctx context.Context) (*traceArtifact, error) {
-			return s.runTrace(pctx, p)
-		})
-		art, err := f.wait(ctx)
-		if err != nil {
-			if !leader && errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-				continue
+	ctx, release := s.hold(r, p.key, req.TimeoutMs)
+	defer release()
+	serve(ctx, s, w, r, ladder[*traceArtifact]{
+		key: p.key, path: "/v1/trace", req: &req, flights: &s.traceFlights,
+		hit: func(b []byte) bool {
+			if !spliceable(b) {
+				return false
 			}
-			s.writeError(w, r, err)
-			return
-		}
-		if !leader {
-			s.stats.collapsed.Add(1)
-		}
-		s.respondTrace(w, art, p.key, false, !leader, start)
-		return
-	}
+			s.respondTraceHit(w, b, p.key, start)
+			return true
+		},
+		run: func(ctx context.Context) (*traceArtifact, error) { return s.runTrace(ctx, p) },
+		fresh: func(art *traceArtifact, collapsed bool) {
+			s.respondTrace(w, art, p.key, collapsed, start)
+		},
+	})
 }
 
-func (s *Server) respondTrace(w http.ResponseWriter, art *traceArtifact, key string, cacheHit, collapsed bool, start time.Time) {
+func (s *Server) respondTrace(w http.ResponseWriter, art *traceArtifact, key string, collapsed bool, start time.Time) {
 	if art.Degraded {
 		s.stats.degraded.Add(1)
 	}
-	resp := &TraceResponse{
+	s.writeJSON(w, http.StatusOK, &TraceResponse{
 		Data:      art.Data,
 		Degraded:  art.Degraded,
-		CacheHit:  cacheHit,
 		Collapsed: collapsed,
 		Key:       key,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	s.stats.observe(resp.ElapsedMs)
-	s.writeJSON(w, http.StatusOK, resp)
+		ElapsedMs: s.served(start),
+	})
 }
 
 // spliceable reports whether a stored artifact is a non-empty JSON object
@@ -231,8 +183,8 @@ func spliceable(b []byte) bool {
 // per-request fields appended as its last members, the same document
 // respondTrace would encode for the decoded artifact.
 func (s *Server) respondTraceHit(w http.ResponseWriter, art []byte, key string, start time.Time) {
-	f := traceHitFields{CacheHit: true, Key: key, ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond)}
-	s.stats.observe(f.ElapsedMs)
+	s.stats.storeHits.Add(1)
+	f := traceHitFields{CacheHit: true, Key: key, ElapsedMs: s.served(start)}
 	tail, _ := json.Marshal(f) // a bool, a string and a finite float cannot fail
 	tail[0] = ','
 	tail = append(tail, '\n')
@@ -243,46 +195,26 @@ func (s *Server) respondTraceHit(w http.ResponseWriter, art []byte, key string, 
 	w.Write(tail)
 }
 
-// runTrace collects one app's trace set under the admission-controlled
-// queue and encodes it for the wire. Clean sets enter the shared store and
-// replicate; degraded sets (transient runtime faults) are returned but
-// never stored, mirroring the trace cache's own rule.
+// runTrace collects one app's trace set and encodes it for the wire. Clean
+// sets enter the shared store and replicate; degraded sets (transient
+// runtime faults) are returned but never stored, mirroring the trace
+// cache's own rule.
 func (s *Server) runTrace(ctx context.Context, p *simPlan) (*traceArtifact, error) {
-	if err := s.q.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.q.release()
-	s.stats.executions.Add(1)
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxRunTime)
-	defer cancel()
-
-	opts := eval.CollectOptions{Workers: s.cfg.RunWorkers, Cache: s.traces}
-	if p.refine {
-		opts.Refine = &eval.RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
-	}
-	data, err := eval.CollectWith(ctx, p.app, p.cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	wire, err := eval.EncodeAppData(data)
-	if err != nil {
-		return nil, err
-	}
-	art := &traceArtifact{Data: wire}
-	for _, row := range eval.DegradationRows([]*eval.AppData{data}) {
-		if len(row.Quarantined) > 0 || row.FailedTasks > 0 {
-			art.Degraded = true
+	return execute(ctx, s, p.key, func(ctx context.Context) (*traceArtifact, bool, error) {
+		data, err := eval.CollectWith(ctx, p.app, p.cfg, s.collectOptions(p))
+		if err != nil {
+			return nil, false, err
 		}
-	}
-	if !art.Degraded {
-		if b, err := json.Marshal(art); err == nil {
-			if err := s.install(p.key, b); err != nil {
-				s.cfg.Log.Printf("daed: artifact store write failed for %s: %v", p.key, err)
+		wire, err := eval.EncodeAppData(data)
+		if err != nil {
+			return nil, false, err
+		}
+		art := &traceArtifact{Data: wire}
+		for _, row := range eval.DegradationRows([]*eval.AppData{data}) {
+			if len(row.Quarantined) > 0 || row.FailedTasks > 0 {
+				art.Degraded = true
 			}
-			s.replicate(p.key, b)
 		}
-	}
-	return art, nil
+		return art, !art.Degraded, nil
+	})
 }

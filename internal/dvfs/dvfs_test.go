@@ -53,14 +53,14 @@ func TestLevelFor(t *testing.T) {
 		req  float64
 		want float64
 	}{
-		{0, 1.6},     // no work remaining: floor at fmin
-		{-1, 1.6},    // negative requirement: floor at fmin
-		{1.6, 1.6},   // exact level
-		{1.7, 2.0},   // between levels: round up, never down
+		{0, 1.6},   // no work remaining: floor at fmin
+		{-1, 1.6},  // negative requirement: floor at fmin
+		{1.6, 1.6}, // exact level
+		{1.7, 2.0}, // between levels: round up, never down
 		{2.4, 2.4},
 		{3.3, 3.4},
 		{3.4, 3.4},
-		{9.9, 3.4},   // infeasible deadline: saturate at fmax
+		{9.9, 3.4}, // infeasible deadline: saturate at fmax
 	}
 	for _, tc := range cases {
 		if got := tab.LevelFor(tc.req).Freq; got != tc.want {

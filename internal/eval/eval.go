@@ -195,20 +195,9 @@ func cachedRun(ctx context.Context, app bench.App, kind runKind, cfg rt.TraceCon
 		return collectRun(ctx, app, kind, cfg, opts)
 	}
 	key := runKey(app.Name, kind, cfg, opts.Refine)
-	for {
-		out, err, shared := opts.Cache.resolve(key, func() (*runOutput, error) {
-			return collectRun(ctx, app, kind, cfg, opts)
-		})
-		if shared && err != nil && errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-			// The in-flight collection we joined timed out under the
-			// *leader's* context, not ours: retry under our own. The loop
-			// terminates because each pass either makes us the leader
-			// (terminal either way) or follows a fresh flight whose leader
-			// had a live context when it started.
-			continue
-		}
-		return out, err
-	}
+	return opts.Cache.resolve(ctx, key, func(ctx context.Context) (*runOutput, error) {
+		return collectRun(ctx, app, kind, cfg, opts)
+	})
 }
 
 // forEachJob runs do(0..n-1) on a bounded worker pool. workers <= 0 selects

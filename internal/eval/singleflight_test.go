@@ -110,39 +110,42 @@ func TestCrossProcessCacheRace(t *testing.T) {
 	sameTraces(t, []*AppData{a}, []*AppData{c})
 }
 
-// TestResolveRetriesSharedTimeout exercises cachedRun's retry contract at
-// the resolve level: a follower that inherits the leader's timeout failure
-// while its own context is alive retries and completes on a fresh flight.
+// TestResolveRetriesSharedTimeout: a caller that joined a collection which
+// then failed under its own deadline (a timeout scoped to the caller that
+// started it) while the joiner's context is alive collects afresh instead
+// of inheriting the failure.
 func TestResolveRetriesSharedTimeout(t *testing.T) {
 	tc := NewTraceCache("")
 	leaderIn := make(chan struct{})
 	block := make(chan struct{})
-	go tc.resolve("k", func() (*runOutput, error) {
-		close(leaderIn)
-		<-block
-		return nil, fault.New(fault.KindTimeout, "leader deadline expired")
-	})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := tc.resolve(context.Background(), "k", func(context.Context) (*runOutput, error) {
+			close(leaderIn)
+			<-block
+			return nil, fault.New(fault.KindTimeout, "leader deadline expired")
+		})
+		leaderErr <- err
+	}()
 	<-leaderIn
 
 	done := make(chan *runOutput, 1)
 	go func() {
-		ctx := context.Background()
-		for { // cachedRun's loop, verbatim
-			out, err, shared := tc.resolve("k", func() (*runOutput, error) {
-				return &runOutput{}, nil
-			})
-			if shared && err != nil && errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-				continue
-			}
-			if err != nil {
-				t.Errorf("follower failed permanently: %v", err)
-			}
-			done <- out
-			return
+		out, err := tc.resolve(context.Background(), "k", func(context.Context) (*runOutput, error) {
+			return &runOutput{}, nil
+		})
+		if err != nil {
+			t.Errorf("follower failed permanently: %v", err)
 		}
+		done <- out
 	}()
-	time.Sleep(100 * time.Millisecond) // let the follower park on the flight
+	// Let the follower park on the flight. One that arrives late leads a
+	// fresh collection and passes without exercising the retry.
+	time.Sleep(100 * time.Millisecond)
 	close(block)
+	if err := <-leaderErr; !errors.Is(err, fault.ErrTimeout) {
+		t.Fatalf("leader = %v, want its own timeout", err)
+	}
 	select {
 	case out := <-done:
 		if out == nil {

@@ -118,18 +118,16 @@ func sumOf(trace, results []byte) string {
 // resolve returns the entry for key, computing it with collect on a miss.
 // Concurrent resolve calls for the same key collapse onto one in-flight
 // collection — exactly one simulation runs and exactly one disk envelope is
-// written; the other callers wait and share the result. Degraded outputs
-// are returned to every waiter but never stored (transient runtime faults
-// must not poison the cache). shared reports whether the result came from
-// another caller's in-flight collection rather than this caller's own —
-// shared failures may be scoped to the leader (its deadline, its
-// cancellation) and are the callers' cue to retry under their own context.
-func (tc *TraceCache) resolve(key string, collect func() (*runOutput, error)) (out *runOutput, err error, shared bool) {
-	out, err, leader := tc.flights.Do(key, func() (*runOutput, error) {
+// written; the other callers wait and share the result. collect runs under
+// the flight's context, which is canceled only when every waiting caller
+// has given up. Degraded outputs are returned to every waiter but never
+// stored (transient runtime faults must not poison the cache).
+func (tc *TraceCache) resolve(ctx context.Context, key string, collect func(context.Context) (*runOutput, error)) (*runOutput, error) {
+	out, err, _ := tc.flights.Do(ctx, key, func(ctx context.Context) (*runOutput, error) {
 		if out, ok := tc.get(key); ok {
 			return out, nil
 		}
-		out, err := collect()
+		out, err := collect(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +140,7 @@ func (tc *TraceCache) resolve(key string, collect func() (*runOutput, error)) (o
 		tc.put(key, out)
 		return out, nil
 	})
-	return out, err, !leader
+	return out, err
 }
 
 // get returns the entry for key, consulting memory first and then disk.
