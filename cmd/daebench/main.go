@@ -31,15 +31,13 @@
 //	daebench [-exp table1|fig3|fig4|zerolat|refined|strategies|all] [-cores 4]
 //	         [-csv dir] [-j N] [-cache-dir dir] [-timeout d] [-run-timeout d]
 //	         [-max-steps n] [-degrade off|access|full] [-inject rules] [-v]
-//	         [-engine bytecode|tree] [-opstats] [-cpuprofile f] [-memprofile f]
-//	         [-server url[,url...] [-tenant name]]
+//	         [-cpuprofile f] [-memprofile f] [-server url[,url...] [-tenant name]]
 //
-// -engine selects the interpreter execution engine: the register-bytecode VM
-// (default) or the original compiled-op interpreter ("tree"), kept as a
-// differential oracle — both produce byte-identical traces. -opstats skips
-// the experiments and instead prints the dynamic op and op-pair histogram of
-// the whole collection, measured on the tree engine; it is the measurement
-// behind the bytecode engine's superinstruction selection.
+// Every run executes on the interpreter's register-bytecode VM. Its
+// differential oracle, the tree executor, and the dynamic op-pair histogram
+// measured on it are reached from the tests (`go test -run
+// TestOpStatsHistogram -v ./internal/rt/` prints the histogram of the 21
+// runs).
 //
 // -server collects the traces remotely from a daed server (or cluster:
 // comma-separate the URLs) instead of simulating locally; the experiment
@@ -70,7 +68,6 @@ import (
 	"dae/internal/dvfs"
 	"dae/internal/eval"
 	"dae/internal/fault/inject"
-	"dae/internal/interp"
 	"dae/internal/rt"
 )
 
@@ -93,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	degrade := fs.String("degrade", "access", "runtime supervision mode: off (abort on fault), access (quarantine faulting access variants), full (also contain execute faults)")
 	injectSpec := fs.String("inject", "", "fault-injection rules, \"site,app,kind,task,mode[,trap]\" separated by ';' (testing)")
 	verbose := fs.Bool("v", false, "verbose failure reports (include captured panic stacks)")
-	engine := fs.String("engine", "bytecode", "interpreter execution engine: bytecode (register VM) or tree (compiled-op oracle)")
-	opstats := fs.Bool("opstats", false, "print the dynamic op/op-pair histogram of the collection (tree engine) instead of running experiments")
 	serverURL := fs.String("server", "", "collect traces remotely from daed at this base URL; comma-separate for a cluster")
 	tenant := fs.String("tenant", "", "tenant identity sent to the daed server (with -server)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -118,15 +113,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	engineKind, err := interp.ParseEngine(*engine)
-	if err != nil {
-		return usage(err)
-	}
 	var cl *client.Cluster
 	if *serverURL != "" {
 		for name, set := range map[string]bool{
 			"-cache-dir": *cacheDir != "", "-run-timeout": *runTimeout != 0,
-			"-inject": *injectSpec != "", "-opstats": *opstats,
+			"-inject": *injectSpec != "",
 		} {
 			if set {
 				fmt.Fprintf(stderr, "daebench: %s configures the local simulation; it has no meaning with -server\n", name)
@@ -167,17 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Cores = *cores
 	cfg.MaxSteps = *maxSteps
 	cfg.Degrade = degradeMode
-	cfg.Engine = engineKind
-
-	if *opstats {
-		fmt.Fprintf(stderr, "daebench: collecting the dynamic op histogram (7 benchmarks x 3 versions, tree engine)...\n")
-		st, err := eval.CollectOpStats(ctx, nil, cfg, eval.CollectOptions{RunTimeout: *runTimeout})
-		if err != nil {
-			return failRuns(stderr, "daebench", err, *verbose)
-		}
-		fmt.Fprint(stdout, st.Format())
-		return 0
-	}
 	// The in-process cache is always on: it lets the refined experiment
 	// reuse the coupled and manual traces of the main collection. -cache-dir
 	// additionally persists entries across daebench invocations.
@@ -198,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if cl != nil {
 			tmpl := daed.TraceRequest{
 				Cores: *cores, Refine: refine, MaxSteps: *maxSteps,
-				Degrade: *degrade, Engine: *engine, TimeoutMs: timeout.Milliseconds(),
+				Degrade: *degrade, TimeoutMs: timeout.Milliseconds(),
 			}
 			return collectRemote(ctx, cl, *tenant, tmpl, effectiveWorkers(*jobs))
 		}

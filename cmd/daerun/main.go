@@ -22,11 +22,10 @@
 //
 //	daerun [-cores 4] [-zero-latency] [-timeout d] [-run-timeout d]
 //	       [-max-steps n] [-degrade off|access|full] [-inject rules] [-v]
-//	       [-engine bytecode|tree] [LU|Cholesky|FFT|LBM|LibQ|Cigar|CG]
+//	       [LU|Cholesky|FFT|LBM|LibQ|Cigar|CG]
 //
-// -engine selects the interpreter execution engine: the register-bytecode VM
-// (default) or the compiled-op oracle ("tree"); both produce byte-identical
-// traces.
+// Every run executes on the interpreter's register-bytecode VM; the tree
+// executor that checks it is reached from the tests only.
 //
 // -server runs the evaluation remotely against a daed server instead of
 // simulating locally: the report is byte-identical to a local run of the
@@ -56,7 +55,6 @@ import (
 	"dae/internal/eval"
 	"dae/internal/fault"
 	"dae/internal/fault/inject"
-	"dae/internal/interp"
 	"dae/internal/rt"
 )
 
@@ -80,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	degrade := fs.String("degrade", "access", "runtime supervision mode: off (abort on fault), access (quarantine faulting access variants), full (also contain execute faults)")
 	injectSpec := fs.String("inject", "", "fault-injection rules, \"site,app,kind,task,mode[,trap]\" separated by ';' (testing)")
 	verbose := fs.Bool("v", false, "verbose failure reports (include captured panic stacks)")
-	engine := fs.String("engine", "bytecode", "interpreter execution engine: bytecode (register VM) or tree (compiled-op oracle)")
 	serverURL := fs.String("server", "", "evaluate remotely against daed at this base URL; comma-separate for a cluster")
 	tenant := fs.String("tenant", "", "tenant identity sent to the daed server (with -server)")
 	if err := fs.Parse(args); err != nil {
@@ -96,11 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	injectRules, err := inject.ParseRules(*injectSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "daerun:", err)
-		return 2
-	}
-	engineKind, err := interp.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintln(stderr, "daerun:", err)
 		return 2
@@ -139,7 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Refine:      *refine,
 			MaxSteps:    *maxSteps,
 			Degrade:     *degrade,
-			Engine:      *engine,
 			TimeoutMs:   timeout.Milliseconds(),
 			Inject:      *injectSpec,
 		}
@@ -150,7 +141,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Cores = *cores
 	cfg.MaxSteps = *maxSteps
 	cfg.Degrade = degradeMode
-	cfg.Engine = engineKind
 	fmt.Fprintf(stdout, "tracing %s on %d cores (coupled, manual DAE, compiler DAE)...\n", app.Name, cfg.Cores)
 	opts := eval.CollectOptions{Workers: *jobs, RunTimeout: *runTimeout}
 	if *cacheDir != "" {

@@ -15,7 +15,6 @@ import (
 	"dae/internal/bench"
 	"dae/internal/dvfs"
 	"dae/internal/fault/inject"
-	"dae/internal/interp"
 	"dae/internal/rt"
 )
 
@@ -53,10 +52,6 @@ type SimulateRequest struct {
 	// Degrade selects the runtime supervision mode: "off", "access"
 	// (default), or "full".
 	Degrade string `json:"degrade,omitempty"`
-	// Engine selects the interpreter execution engine ("bytecode" default,
-	// "tree" oracle). Excluded from the content key: the engines are
-	// byte-identical, so artifacts are shared across them.
-	Engine string `json:"engine,omitempty"`
 	// TimeoutMs, when positive, bounds how long this request waits for its
 	// result — a QoS knob, not content, so it is excluded from the key;
 	// the server maps it onto context cancellation.
@@ -94,14 +89,6 @@ func (req *SimulateRequest) plan() (*simPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "bytecode"
-	}
-	engineKind, err := interp.ParseEngine(engine)
-	if err != nil {
-		return nil, err
-	}
 	rules, err := inject.ParseRules(req.Inject)
 	if err != nil {
 		return nil, err
@@ -115,7 +102,6 @@ func (req *SimulateRequest) plan() (*simPlan, error) {
 	}
 	cfg.MaxSteps = req.MaxSteps
 	cfg.Degrade = degradeMode
-	cfg.Engine = engineKind
 	m := rt.DefaultMachine()
 	if req.ZeroLatency {
 		m.DVFS = dvfs.Ideal()
@@ -123,9 +109,8 @@ func (req *SimulateRequest) plan() (*simPlan, error) {
 	p := &simPlan{app: app, cfg: cfg, machine: m, refine: req.Refine, rules: rules}
 	// The content key covers everything that changes the report: the app,
 	// the full trace-config fingerprint (cores, hierarchy, budgets,
-	// degrade mode), the machine variant, and refinement. Engine and
-	// TimeoutMs are QoS/transport knobs; tenant identity never keys shared
-	// content.
+	// degrade mode), the machine variant, and refinement. TimeoutMs is a
+	// QoS knob; tenant identity never keys shared content.
 	p.key = fmt.Sprintf("sim/v1;app=%s;%s;zerolat=%t;refine=%t",
 		app.Name, cfg.Fingerprint(), req.ZeroLatency, req.Refine)
 	return p, nil

@@ -1,7 +1,9 @@
 package daed
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -340,7 +342,6 @@ func TestBadRequests(t *testing.T) {
 	cases := []SimulateRequest{
 		{App: "NoSuchApp"},
 		{App: "CG", Degrade: "sometimes"},
-		{App: "CG", Engine: "jit"},
 		{App: "CG", Inject: "nonsense"},
 		{App: "CG", Cores: -1},
 	}
@@ -353,6 +354,47 @@ func TestBadRequests(t *testing.T) {
 	}
 	if got := s.Stats().Executions; got != 0 {
 		t.Errorf("bad requests triggered %d executions", got)
+	}
+}
+
+// TestEngineMemberIgnored: daebench and daerun binaries built while the
+// interpreter engine was a request field send "engine":"bytecode" or
+// "engine":"tree". decodeRequest ignores unknown members, so such requests
+// are served like requests without one: 200, the same content key and the
+// same stored artifact bytes (each request runs cold on its own server).
+func TestEngineMemberIgnored(t *testing.T) {
+	for _, path := range []string{"/v1/simulate", "/v1/trace"} {
+		var wantKey string
+		var wantArtifact []byte
+		for _, body := range []string{`{"app":"CG"}`, `{"app":"CG","engine":"tree"}`, `{"app":"CG","engine":"bytecode"}`} {
+			s, c := newTestServer(t, Config{Workers: 1})
+			resp, err := http.Post(c.Base+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct {
+				Key string `json:"key"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("%s %s: status %d, decode error %v", path, body, resp.StatusCode, err)
+			}
+			artifact, ok := s.store.Get(got.Key)
+			if !ok {
+				t.Fatalf("%s %s: no stored artifact under %q", path, body, got.Key)
+			}
+			if wantKey == "" {
+				wantKey, wantArtifact = got.Key, artifact
+				continue
+			}
+			if got.Key != wantKey {
+				t.Errorf("%s %s: key %q, want %q", path, body, got.Key, wantKey)
+			}
+			if !bytes.Equal(artifact, wantArtifact) {
+				t.Errorf("%s %s: stored artifact differs from the request without an engine", path, body)
+			}
+		}
 	}
 }
 

@@ -25,10 +25,9 @@ type TraceRequest struct {
 	Cores int `json:"cores,omitempty"`
 	// Refine applies profile-guided prefetch pruning before tracing.
 	Refine bool `json:"refine,omitempty"`
-	// MaxSteps, Degrade and Engine are as in SimulateRequest.
+	// MaxSteps and Degrade are as in SimulateRequest.
 	MaxSteps int64  `json:"max_steps,omitempty"`
 	Degrade  string `json:"degrade,omitempty"`
-	Engine   string `json:"engine,omitempty"`
 	// TimeoutMs bounds the wait (QoS, not content).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
@@ -108,7 +107,7 @@ func (s *Server) install(key string, payload []byte) error {
 func (req *TraceRequest) plan() (*simPlan, error) {
 	sr := SimulateRequest{
 		App: req.App, Cores: req.Cores, Refine: req.Refine,
-		MaxSteps: req.MaxSteps, Degrade: req.Degrade, Engine: req.Engine,
+		MaxSteps: req.MaxSteps, Degrade: req.Degrade,
 	}
 	p, err := sr.plan()
 	if err != nil {

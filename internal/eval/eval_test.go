@@ -2,9 +2,11 @@ package eval
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"dae/internal/bench"
@@ -13,20 +15,28 @@ import (
 	"dae/internal/rt"
 )
 
-// collectOnce caches the (expensive) full collection across tests.
-var collected []*AppData
+// collectWorkers is the worker count of the shared baseline collection.
+const collectWorkers = 4
 
+var (
+	collectOnce sync.Once
+	collected   []*AppData
+	collectErr  error
+)
+
+// collect returns the package's one default-config collection of every
+// benchmark, made once per test binary on collectWorkers workers with no
+// trace cache. Tests read it and must not modify it.
 func collect(t *testing.T) []*AppData {
 	t.Helper()
-	if collected != nil {
-		return collected
+	collectOnce.Do(func() {
+		collected, collectErr = CollectAllWith(context.Background(), rt.DefaultTraceConfig(),
+			CollectOptions{Workers: collectWorkers})
+	})
+	if collectErr != nil {
+		t.Fatalf("collect: %v", collectErr)
 	}
-	data, err := CollectAll(rt.DefaultTraceConfig())
-	if err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	collected = data
-	return data
+	return collected
 }
 
 func TestGeoMean(t *testing.T) {

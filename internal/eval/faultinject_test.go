@@ -23,17 +23,14 @@ func TestInjectedFaultIsolatesRun(t *testing.T) {
 	ctx := context.Background()
 	cfg := rt.DefaultTraceConfig()
 
-	baseline, err := CollectAllWith(ctx, cfg, CollectOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := collect(t)
 
 	in := inject.New(
 		inject.Rule{Site: inject.SiteTraceRun, App: "FFT", Kind: "compiler-dae", Mode: inject.ModePanic},
 		inject.Rule{Site: inject.SiteTraceRun, App: "LU", Kind: "coupled", Mode: inject.ModeTrap, Trap: fault.TrapOutOfBounds},
 	)
 	cache := NewTraceCache("") // collects the 19 surviving runs
-	_, err = CollectAllWith(ctx, cfg, CollectOptions{Workers: 4, Cache: cache, Inject: in.Hook()})
+	_, err := CollectAllWith(ctx, cfg, CollectOptions{Workers: 4, Cache: cache, Inject: in.Hook()})
 	if err == nil {
 		t.Fatal("injected faults did not surface")
 	}

@@ -54,18 +54,16 @@ func sameTraces(t *testing.T, a, b []*AppData) {
 
 // TestParallelCollectionDeterminism is the hidden-shared-state regression
 // test: a sequential collection and a 4-worker collection of every benchmark
-// must produce deeply equal traces. Run under -race it additionally proves
-// the per-run state (interp envs, heaps, caches) is not shared.
+// (the shared baseline, collect) must produce deeply equal traces. Run under
+// -race it additionally proves the per-run state (interp envs, heaps,
+// caches) is not shared.
 func TestParallelCollectionDeterminism(t *testing.T) {
 	cfg := rt.DefaultTraceConfig()
 	seq, err := CollectAllWith(context.Background(), cfg, CollectOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CollectAllWith(context.Background(), cfg, CollectOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := collect(t)
 	sameTraces(t, seq, par)
 	// Table 1 — including the rwcec policy column, whose bounds come from a
 	// deterministic per-app rebuild — must be byte-identical across worker

@@ -69,9 +69,9 @@ func runKey(app string, kind runKind, cfg rt.TraceConfig, refine *RefineSpec) st
 // change, invalidating stale on-disk entries. v2 added the content checksum
 // and the MaxSteps field to the TraceConfig fingerprint; v3 added the
 // supervision fields (trace format v2, Degrade in the fingerprint); v4 marks
-// the bytecode execution engine becoming the default tracer (engines are
-// byte-identical, so Engine itself stays out of the fingerprint — the bump
-// just retires entries written before the differential tests enforced that).
+// the bytecode execution engine becoming the tracer (it traces
+// byte-identically to the tree engine it replaced; the bump just retires
+// entries written before the differential tests enforced that).
 const cacheVersion = 4
 
 // saveAttempts is how many times a failed envelope write is tried in total;

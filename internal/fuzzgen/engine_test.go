@@ -27,13 +27,16 @@ func (r *eventRecorder) Load(a int64)     { r.events = append(r.events, memEvent
 func (r *eventRecorder) Store(a int64)    { r.events = append(r.events, memEvent{1, a}) }
 func (r *eventRecorder) Prefetch(a int64) { r.events = append(r.events, memEvent{2, a}) }
 
-// engineRun executes fn on one engine over fresh seeded memory, recording
-// every observable: final state, the ordered memory-event stream, counts,
-// step accounting, and the error (if any).
-func engineRun(eng interp.Engine, prog *interp.Program, fn *ir.Func, seed int64, maxSteps int64) (*state, *eventRecorder, interp.Counts, int64, error) {
+// engineRun executes fn over fresh seeded memory on the bytecode VM, or on
+// the tree oracle (interp.NewOracleEnv) when oracle is set, recording every
+// observable: final state, the ordered memory-event stream, counts, step
+// accounting, and the error (if any).
+func engineRun(oracle bool, prog *interp.Program, fn *ir.Func, seed int64, maxSteps int64) (*state, *eventRecorder, interp.Counts, int64, error) {
 	rec := &eventRecorder{}
 	env := interp.NewEnv(prog, rec)
-	env.SetEngine(eng)
+	if oracle {
+		env = interp.NewOracleEnv(prog, rec, nil)
+	}
 	env.SetMaxSteps(maxSteps)
 	st := newState(seed)
 	_, err := env.Call(fn, st.args()...)
@@ -47,8 +50,8 @@ func engineRun(eng interp.Engine, prog *interp.Program, fn *ir.Func, seed int64,
 // engine faults.
 func engineDifferential(t *testing.T, prog *interp.Program, fn *ir.Func, seed int64, maxSteps int64, src string) {
 	t.Helper()
-	stB, recB, cntB, stepsB, errB := engineRun(interp.EngineBytecode, prog, fn, seed, maxSteps)
-	stT, recT, cntT, stepsT, errT := engineRun(interp.EngineTree, prog, fn, seed, maxSteps)
+	stB, recB, cntB, stepsB, errB := engineRun(false, prog, fn, seed, maxSteps)
+	stT, recT, cntT, stepsT, errT := engineRun(true, prog, fn, seed, maxSteps)
 
 	if (errB == nil) != (errT == nil) {
 		t.Fatalf("@%s: engines disagree on failure: bytecode=%v tree=%v\nsource:\n%s", fn.Name, errB, errT, src)

@@ -37,7 +37,7 @@ func wcecSoundnessCheck(t *testing.T, prog *interp.Program, fns []*ir.Func, seed
 			}
 			continue
 		}
-		_, _, cnt, _, err := engineRun(interp.EngineBytecode, prog, fn, seed, 4<<20)
+		_, _, cnt, _, err := engineRun(false, prog, fn, seed, 4<<20)
 		if err != nil {
 			// A faulted run has no complete observation to certify against.
 			continue

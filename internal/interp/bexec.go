@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"math"
 
 	"dae/internal/fault"
@@ -80,30 +79,6 @@ func (e *Env) getBFrame(bc *bcode) *bframe {
 }
 
 func (e *Env) putBFrame(f *bframe) { e.bfree = append(e.bfree, f) }
-
-// callBytecode is Call on the register-bytecode engine. Control flow,
-// ordering of checks, and every error string mirror callTree exactly.
-func (e *Env) callBytecode(f *ir.Func, args ...Value) (Value, error) {
-	if e.ctx != nil {
-		if err := e.ctx.Err(); err != nil {
-			return Value{}, &fault.Error{Kind: fault.KindTimeout, Func: f.Name, Err: err}
-		}
-	}
-	bc, err := e.bytecodeMemo(f)
-	if err != nil {
-		return Value{}, err
-	}
-	e.steps = 0
-	e.armCheck()
-	if len(args) != len(f.Params) {
-		return Value{}, fmt.Errorf("interp: call @%s with %d args, want %d", f.Name, len(args), len(f.Params))
-	}
-	out, err := e.brun(bc, args)
-	if err != nil {
-		return Value{}, err
-	}
-	return retValue(f, out), nil
-}
 
 // brun executes bc in a pooled frame with top-level arguments placed into
 // their parameter registers. The frame returns to the freelist on every exit

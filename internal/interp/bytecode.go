@@ -1,48 +1,6 @@
 package interp
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"dae/internal/ir"
-)
-
-// Engine selects which execution engine an Env runs compiled functions on.
-//
-// The register-bytecode VM (EngineBytecode, the default) executes a compact
-// flat instruction array with typed register planes, superinstructions for
-// the dominant op pairs, and the cache probe fused into the memory
-// instructions. The compiled-op interpreter (EngineTree) is the original
-// engine, kept as a differential oracle: both engines are required to
-// produce byte-identical traces, counts, step accounting and typed faults on
-// every program.
-type Engine uint8
-
-// Engines.
-const (
-	EngineBytecode Engine = iota
-	EngineTree
-)
-
-// String returns the CLI spelling of the engine.
-func (e Engine) String() string {
-	if e == EngineTree {
-		return "tree"
-	}
-	return "bytecode"
-}
-
-// ParseEngine parses the CLI spelling ("bytecode", "tree").
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "bytecode":
-		return EngineBytecode, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return EngineBytecode, fmt.Errorf("interp: unknown engine %q (want bytecode or tree)", s)
-}
+import "dae/internal/ir"
 
 // bop enumerates the bytecode opcodes. The first block is a 1:1 lowering of
 // the compiled-op kinds; the final block is the superinstruction set, chosen
@@ -188,107 +146,4 @@ type bcode struct {
 	nI, nF, nP       int // register-plane sizes
 	nStackF, nStackI int
 	maxMoves         int
-}
-
-// OpStats is the dynamic opcode histogram of a tree-engine execution: how
-// often each compiled op ran, and how often each ordered pair of ops ran
-// back to back in the dynamic instruction stream. The histogram is the
-// measurement that justifies the bytecode engine's superinstruction set
-// (fuse the hottest pairs), surfaced by `daebench -opstats`.
-type OpStats struct {
-	Ops   [numOpKinds]int64
-	Pairs [numOpKinds][numOpKinds]int64
-}
-
-// Merge accumulates other into s.
-func (s *OpStats) Merge(other *OpStats) {
-	for i := range s.Ops {
-		s.Ops[i] += other.Ops[i]
-	}
-	for i := range s.Pairs {
-		for j := range s.Pairs[i] {
-			s.Pairs[i][j] += other.Pairs[i][j]
-		}
-	}
-}
-
-// Total returns the total dynamic op count.
-func (s *OpStats) Total() int64 {
-	var n int64
-	for _, v := range s.Ops {
-		n += v
-	}
-	return n
-}
-
-// opNames spells the compiled-op kinds in histogram output.
-var opNames = [numOpKinds]string{
-	opBinI: "binI", opBinF: "binF", opCmpI: "cmpI", opCmpF: "cmpF",
-	opCastIF: "castIF", opCastFI: "castFI", opMath: "math",
-	opSelect: "select", opLoadF: "loadF", opLoadI: "loadI",
-	opStoreF: "storeF", opStoreI: "storeI", opPrefetch: "prefetch",
-	opGEP: "gep", opCall: "call", opBr: "br", opCondBr: "condbr",
-	opRet: "ret", opNop: "nop",
-}
-
-// topPairs is how many op pairs Format lists.
-const topPairs = 16
-
-// Format renders the histogram as two tables: every executed op sorted by
-// dynamic count, then the topPairs hottest ordered op pairs. Output is
-// deterministic (count-descending, name tie-break) so it can be golden
-// tested.
-func (s *OpStats) Format() string {
-	var b strings.Builder
-	total := s.Total()
-	fmt.Fprintf(&b, "dynamic op histogram (%d ops executed)\n", total)
-	fmt.Fprintf(&b, "  %-10s %14s %7s\n", "op", "count", "share")
-	type row struct {
-		name  string
-		count int64
-	}
-	var ops []row
-	for k, n := range s.Ops {
-		if n > 0 {
-			ops = append(ops, row{opNames[k], n})
-		}
-	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].count != ops[j].count {
-			return ops[i].count > ops[j].count
-		}
-		return ops[i].name < ops[j].name
-	})
-	share := func(n int64) float64 {
-		if total == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(total)
-	}
-	for _, r := range ops {
-		fmt.Fprintf(&b, "  %-10s %14d %6.2f%%\n", r.name, r.count, share(r.count))
-	}
-	var pairs []row
-	for i := range s.Pairs {
-		for j, n := range s.Pairs[i] {
-			if n > 0 {
-				pairs = append(pairs, row{opNames[i] + "->" + opNames[j], n})
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].count != pairs[j].count {
-			return pairs[i].count > pairs[j].count
-		}
-		return pairs[i].name < pairs[j].name
-	})
-	if len(pairs) > topPairs {
-		pairs = pairs[:topPairs]
-	}
-	fmt.Fprintf(&b, "top op pairs (%d shown)\n", len(pairs))
-	fmt.Fprintf(&b, "  %-20s %14s %7s\n", "pair", "count", "share")
-	for _, r := range pairs {
-		fmt.Fprintf(&b, "  %-20s %14d %6.2f%%\n", r.name, r.count, share(r.count))
-	}
-	return b.String()
 }

@@ -92,30 +92,24 @@ type code struct {
 	hasResult bool
 }
 
-// Program compiles IR functions on demand and caches the result. Lookups
-// read an immutable published snapshot through an atomic pointer, so
-// parallel collection workers sharing one Program never contend on a lock in
-// steady state; the mutex only serializes compilation of functions absent
+// Program compiles IR functions on demand and caches the result. Bytecode
+// lookups read an immutable published snapshot through an atomic pointer,
+// so parallel collection workers sharing one Program never contend on a lock
+// in steady state; the mutex only serializes compilation of functions absent
 // from the snapshot. The compiled code itself is immutable after
 // construction.
 type Program struct {
 	mod *ir.Module
 
-	// snap is the immutable prepared-program snapshot: a consistent pair of
-	// maps rebuilt and republished after every compilation. Readers load it
-	// lock-free; writers mutate the master maps below under mu and publish
-	// fresh copies.
-	snap atomic.Pointer[progSnap]
+	// snap is the immutable published copy of bcache, rebuilt and
+	// republished after every translation. Readers load it lock-free;
+	// writers mutate the master maps below under mu and publish fresh
+	// copies.
+	snap atomic.Pointer[map[*ir.Func]*bcode]
 
 	mu     sync.Mutex
 	cache  map[*ir.Func]*code  // master tree map; nil entry = in-progress (recursion guard)
 	bcache map[*ir.Func]*bcode // master bytecode map; same guard convention
-}
-
-// progSnap is one immutable published view of the compilation caches.
-type progSnap struct {
-	tree map[*ir.Func]*code
-	bc   map[*ir.Func]*bcode
 }
 
 // NewProgram returns a compilation cache for mod. The module is not copied;
@@ -128,21 +122,12 @@ func NewProgram(mod *ir.Module) *Program {
 	}
 }
 
-// compiled returns the compiled form of f.
+// compiled returns the compiled form of f. Only the tree oracle runs it
+// directly, so it is looked up under the lock, without a snapshot.
 func (p *Program) compiled(f *ir.Func) (*code, error) {
-	if s := p.snap.Load(); s != nil {
-		if c, ok := s.tree[f]; ok {
-			return c, nil
-		}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c, err := p.compiledLocked(f)
-	if err != nil {
-		return nil, err
-	}
-	p.publishLocked()
-	return c, nil
+	return p.compiledLocked(f)
 }
 
 // bytecode returns the register-bytecode form of f, compiling (and caching)
@@ -150,7 +135,7 @@ func (p *Program) compiled(f *ir.Func) (*code, error) {
 // both engines agree structurally by construction.
 func (p *Program) bytecode(f *ir.Func) (*bcode, error) {
 	if s := p.snap.Load(); s != nil {
-		if b, ok := s.bc[f]; ok {
+		if b, ok := (*s)[f]; ok {
 			return b, nil
 		}
 	}
@@ -169,23 +154,15 @@ func (p *Program) bytecode(f *ir.Func) (*bcode, error) {
 }
 
 // publishLocked rebuilds and publishes the immutable snapshot from the
-// master maps. In-progress (nil) entries are excluded.
+// master bytecode map. In-progress (nil) entries are excluded.
 func (p *Program) publishLocked() {
-	s := &progSnap{
-		tree: make(map[*ir.Func]*code, len(p.cache)),
-		bc:   make(map[*ir.Func]*bcode, len(p.bcache)),
-	}
-	for f, c := range p.cache {
-		if c != nil {
-			s.tree[f] = c
-		}
-	}
+	s := make(map[*ir.Func]*bcode, len(p.bcache))
 	for f, b := range p.bcache {
 		if b != nil {
-			s.bc[f] = b
+			s[f] = b
 		}
 	}
-	p.snap.Store(s)
+	p.snap.Store(&s)
 }
 
 // bytecodeLocked translates c (and, recursively, its callees) under the lock.

@@ -120,31 +120,22 @@ type Env struct {
 	tracer   Tracer
 	prefHook PrefetchHook
 	counts   Counts
-	// engine selects the execution engine: the flat register-bytecode VM
-	// (default) or the original compiled-op interpreter, kept as a
-	// differential oracle. Both produce byte-identical traces and faults.
-	engine Engine
 	// hier, when non-nil, receives memory events directly from the bytecode
 	// VM's memory instructions (the fused cache probe), bypassing the Tracer
-	// interface dispatch. The tree engine ignores it and keeps using tracer.
+	// interface dispatch.
 	hier *mem.Hierarchy
-	// stats, when non-nil, accumulates the dynamic op and op-pair histogram.
-	// Only the tree engine records (it executes the unfused op stream the
-	// superinstruction selection is justified against).
-	stats *OpStats
-	// free is the frame freelist: frames are pushed back on function return,
-	// so steady-state calls (including the opCall hot path) allocate nothing.
-	free []*frame
-	// bfree is the bytecode VM's frame freelist (see bframe).
+	// bfree is the bytecode VM's frame freelist (see bframe): frames are
+	// pushed back on function return, so steady-state calls (including the
+	// bCall hot path) allocate nothing.
 	bfree []*bframe
-	// memo caches Program.compiled results per Env, keeping the top-level
+	// bmemo caches Program.bytecode results per Env, keeping the top-level
 	// Call path off the Program's shared snapshot entirely.
-	memo map[*ir.Func]*code
-	// bmemo is memo's bytecode counterpart.
 	bmemo map[*ir.Func]*bcode
-	// callArgs is the reusable top-level Call argument buffer (the callee
-	// copies arguments into its registers at frame entry).
-	callArgs []val
+	// oracle marks an Env from NewOracleEnv: it executes on the tree
+	// executor (oracle.go), recording its op histogram into stats when that
+	// is non-nil.
+	oracle bool
+	stats  *OpStats
 	// ctx, when non-nil, is polled every ctxCheckInterval steps; a canceled
 	// context aborts the current Call with a fault.KindTimeout error.
 	ctx context.Context
@@ -163,75 +154,8 @@ func NewEnv(prog *Program, tracer Tracer) *Env {
 	return &Env{prog: prog, tracer: tracer}
 }
 
-// frame is the reusable per-call state of run: the register file, the phi
-// parallel-copy scratch, the frame-local alloca segments, and the argument
-// buffer for outgoing opCall invocations. Seg structs are embedded so alloca
-// pointers (&f.segF) stay valid for the frame's lifetime.
-type frame struct {
-	regs []val
-	tmp  []val
-	segF Seg
-	segI Seg
-	args []val
-}
-
-// getFrame pops (or creates) a frame and sizes it for c. Registers and stack
-// slots are zeroed so reuse is observationally identical to fresh make()
-// allocation — traces stay byte-identical to the unpooled interpreter.
-func (e *Env) getFrame(c *code) *frame {
-	var f *frame
-	if n := len(e.free); n > 0 {
-		f = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		f = &frame{segF: Seg{Elem: FloatElem, Stack: true}, segI: Seg{Elem: IntElem, Stack: true}}
-	}
-	if cap(f.regs) < c.nregs {
-		f.regs = make([]val, c.nregs)
-	} else {
-		f.regs = f.regs[:c.nregs]
-		clear(f.regs)
-	}
-	if cap(f.tmp) < c.maxMoves {
-		f.tmp = make([]val, c.maxMoves)
-	} else {
-		f.tmp = f.tmp[:c.maxMoves]
-	}
-	if cap(f.segF.F) < c.nStackF {
-		f.segF.F = make([]float64, c.nStackF)
-	} else {
-		f.segF.F = f.segF.F[:c.nStackF]
-		clear(f.segF.F)
-	}
-	if cap(f.segI.I) < c.nStackI {
-		f.segI.I = make([]int64, c.nStackI)
-	} else {
-		f.segI.I = f.segI.I[:c.nStackI]
-		clear(f.segI.I)
-	}
-	return f
-}
-
-func (e *Env) putFrame(f *frame) { e.free = append(e.free, f) }
-
-// compiledMemo resolves f through the per-Env memo, falling back to the
+// bytecodeMemo resolves f through the per-Env memo, falling back to the
 // Program's immutable snapshot (lock-free in steady state).
-func (e *Env) compiledMemo(f *ir.Func) (*code, error) {
-	if c, ok := e.memo[f]; ok {
-		return c, nil
-	}
-	c, err := e.prog.compiled(f)
-	if err != nil {
-		return nil, err
-	}
-	if e.memo == nil {
-		e.memo = make(map[*ir.Func]*code)
-	}
-	e.memo[f] = c
-	return c, nil
-}
-
-// bytecodeMemo is compiledMemo for the bytecode engine.
 func (e *Env) bytecodeMemo(f *ir.Func) (*bcode, error) {
 	if b, ok := e.bmemo[f]; ok {
 		return b, nil
@@ -256,26 +180,14 @@ func (e *Env) ResetCounts() { e.counts = Counts{} }
 // SetTracer replaces the tracer.
 func (e *Env) SetTracer(t Tracer) { e.tracer = t }
 
-// SetEngine selects the execution engine. Prepared handles returned earlier
-// keep the engine they were prepared with.
-func (e *Env) SetEngine(eng Engine) { e.engine = eng }
-
-// EngineKind returns the engine the Env executes with.
-func (e *Env) EngineKind() Engine { return e.engine }
-
 // SetHierarchy installs (or clears, with nil) the fused cache probe: the
 // bytecode VM's memory instructions feed h.Access directly, skipping the
 // per-event Tracer interface dispatch. The event stream is identical to
 // routing a Tracer adapter over the same hierarchy. While set, the tracer is
-// not consulted for bytecode-engine memory events (the tree engine keeps
-// using the tracer); the PrefetchHook still takes precedence for prefetches.
+// not consulted for memory events (an Env from NewOracleEnv ignores h and
+// keeps using the tracer); the PrefetchHook still takes precedence for
+// prefetches.
 func (e *Env) SetHierarchy(h *mem.Hierarchy) { e.hier = h }
-
-// SetOpStats installs (or clears, with nil) the dynamic op-histogram
-// collector. Only the tree engine records into it: the histogram's purpose
-// is to measure the unfused op stream that justifies the bytecode engine's
-// superinstruction selection.
-func (e *Env) SetOpStats(s *OpStats) { e.stats = s }
 
 // SetPrefetchHook installs (or clears, with nil) a per-instruction prefetch
 // observer; while set, it receives prefetch events instead of the tracer.
@@ -369,44 +281,29 @@ func memTrap(fname string, src ir.Instr, what string, p ptr) error {
 		what, segName(p.seg), p.off, p.seg.Len())
 }
 
-// Call executes function name with args. Array arguments are passed with
-// Ptr, scalars with Int/Float. The configured engine runs the body; both
-// engines produce identical results, traces, counts and faults.
+// Call executes f with args. Array arguments are passed with Ptr, scalars
+// with Int/Float. It is Prepare followed by Prepared.Call, without keeping
+// the handle; the context is polled before f is resolved.
 func (e *Env) Call(f *ir.Func, args ...Value) (Value, error) {
-	if e.engine == EngineTree {
-		return e.callTree(f, args...)
+	if err := e.ctxErr(f); err != nil {
+		return Value{}, err
 	}
-	return e.callBytecode(f, args...)
+	p := Prepared{env: e, fn: f}
+	if err := p.resolve(); err != nil {
+		return Value{}, err
+	}
+	return p.Call(args...)
 }
 
-// callTree is Call on the tree (compiled-op) engine.
-func (e *Env) callTree(f *ir.Func, args ...Value) (Value, error) {
+// ctxErr is the poll at the top of a call: a timeout fault naming f once
+// the Env's context is done.
+func (e *Env) ctxErr(f *ir.Func) error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
-			return Value{}, &fault.Error{Kind: fault.KindTimeout, Func: f.Name, Err: err}
+			return &fault.Error{Kind: fault.KindTimeout, Func: f.Name, Err: err}
 		}
 	}
-	c, err := e.compiledMemo(f)
-	if err != nil {
-		return Value{}, err
-	}
-	e.steps = 0
-	e.armCheck()
-	if len(args) != len(f.Params) {
-		return Value{}, fmt.Errorf("interp: call @%s with %d args, want %d", f.Name, len(args), len(f.Params))
-	}
-	if cap(e.callArgs) < len(args) {
-		e.callArgs = make([]val, len(args))
-	}
-	vs := e.callArgs[:len(args)]
-	for i, a := range args {
-		vs[i] = a.v
-	}
-	out, err := e.run(c, vs)
-	if err != nil {
-		return Value{}, err
-	}
-	return retValue(f, out), nil
+	return nil
 }
 
 // retValue wraps an interpreter result in the public Value kind selected by
@@ -420,296 +317,6 @@ func retValue(f *ir.Func, out val) Value {
 		k = floatVal
 	}
 	return Value{v: out, k: k}
-}
-
-// run executes c in a pooled frame. The frame is returned to the freelist on
-// every exit path: nothing escapes it — TaskC functions return scalars, so
-// the result value never aliases the recycled stack segments.
-func (e *Env) run(c *code, args []val) (val, error) {
-	fr := e.getFrame(c)
-	v, err := e.exec(c, fr, args)
-	e.putFrame(fr)
-	return v, err
-}
-
-func (e *Env) exec(c *code, fr *frame, args []val) (val, error) {
-	regs := fr.regs
-	for i, r := range c.params {
-		regs[r] = args[i]
-	}
-	for _, ci := range c.consts {
-		regs[ci.reg] = ci.v
-	}
-	// Frame-local stack segments for allocas. They model registers/stack, so
-	// they are marked Stack and produce no memory events.
-	for _, a := range c.allocas {
-		if a.elem == FloatElem {
-			regs[a.reg] = val{p: ptr{seg: &fr.segF, off: a.slot}}
-		} else {
-			regs[a.reg] = val{p: ptr{seg: &fr.segI, off: a.slot}}
-		}
-	}
-
-	// Phi parallel-copy scratch: sized for the widest move list so that
-	// cyclic copies (swaps) read all sources before writing any destination.
-	tmp := fr.tmp
-	cnt := &e.counts
-	ops := c.ops
-	pc := 0
-	prev := -1 // previous executed op kind, for the op-pair histogram
-	for pc < len(ops) {
-		op := &ops[pc]
-		e.steps++
-		if e.steps >= e.checkAt {
-			if err := e.stepCheck(c.fn.Name, op.src); err != nil {
-				return val{}, err
-			}
-		}
-		if st := e.stats; st != nil {
-			st.Ops[op.kind]++
-			if prev >= 0 {
-				st.Pairs[prev][op.kind]++
-			}
-			prev = int(op.kind)
-		}
-		switch op.kind {
-		case opBinI:
-			x, y := regs[op.a].i, regs[op.b].i
-			var r int64
-			switch ir.BinOp(op.aux) {
-			case ir.IAdd:
-				r = x + y
-			case ir.ISub:
-				r = x - y
-			case ir.IMul:
-				r = x * y
-			case ir.IDiv:
-				if y == 0 {
-					return val{}, trap(fault.TrapDivByZero, c.fn.Name, op.src, "interp: integer division by zero")
-				}
-				r = x / y
-			case ir.IRem:
-				if y == 0 {
-					return val{}, trap(fault.TrapDivByZero, c.fn.Name, op.src, "interp: integer remainder by zero")
-				}
-				r = x % y
-			case ir.IAnd:
-				r = x & y
-			case ir.IOr:
-				r = x | y
-			case ir.IXor:
-				r = x ^ y
-			case ir.IShl:
-				r = x << uint64(y&63)
-			case ir.IShr:
-				r = x >> uint64(y&63)
-			case ir.IMin:
-				r = x
-				if y < x {
-					r = y
-				}
-			default: // IMax
-				r = x
-				if y > x {
-					r = y
-				}
-			}
-			regs[op.dst].i = r
-			cnt.Int++
-
-		case opBinF:
-			x, y := regs[op.a].f, regs[op.b].f
-			var r float64
-			switch ir.BinOp(op.aux) {
-			case ir.FAdd:
-				r = x + y
-			case ir.FSub:
-				r = x - y
-			case ir.FMul:
-				r = x * y
-			default: // FDiv
-				r = x / y
-				cnt.FloatDiv++
-				regs[op.dst].f = r
-				pc++
-				continue
-			}
-			regs[op.dst].f = r
-			cnt.Float++
-
-		case opCmpI:
-			x, y := regs[op.a].i, regs[op.b].i
-			regs[op.dst].i = b2i(cmpI(ir.CmpPred(op.aux), x, y))
-			cnt.Int++
-
-		case opCmpF:
-			x, y := regs[op.a].f, regs[op.b].f
-			regs[op.dst].i = b2i(cmpF(ir.CmpPred(op.aux), x, y))
-			cnt.Int++
-
-		case opCastIF:
-			regs[op.dst].f = float64(regs[op.a].i)
-			cnt.Int++
-
-		case opCastFI:
-			regs[op.dst].i = int64(regs[op.a].f)
-			cnt.Int++
-
-		case opMath:
-			x := regs[op.a].f
-			var r float64
-			switch ir.MathOp(op.aux) {
-			case ir.Sqrt:
-				r = math.Sqrt(x)
-			case ir.Sin:
-				r = math.Sin(x)
-			case ir.Cos:
-				r = math.Cos(x)
-			case ir.Fabs:
-				r = math.Abs(x)
-			case ir.Exp:
-				r = math.Exp(x)
-			case ir.Log:
-				r = math.Log(x)
-			default: // Floor
-				r = math.Floor(x)
-			}
-			regs[op.dst].f = r
-			cnt.MathOps++
-
-		case opSelect:
-			if regs[op.a].i != 0 {
-				regs[op.dst] = regs[op.b]
-			} else {
-				regs[op.dst] = regs[op.c]
-			}
-			cnt.Int++
-
-		case opLoadF:
-			p := regs[op.a].p
-			if !p.inBounds() {
-				return val{}, memTrap(c.fn.Name, op.src, "load", p)
-			}
-			regs[op.dst].f = p.seg.F[p.off]
-			cnt.Loads++
-			if e.tracer != nil && !p.seg.Stack {
-				e.tracer.Load(p.addr())
-			}
-
-		case opLoadI:
-			p := regs[op.a].p
-			if !p.inBounds() {
-				return val{}, memTrap(c.fn.Name, op.src, "load", p)
-			}
-			regs[op.dst].i = p.seg.I[p.off]
-			cnt.Loads++
-			if e.tracer != nil && !p.seg.Stack {
-				e.tracer.Load(p.addr())
-			}
-
-		case opStoreF:
-			p := regs[op.b].p
-			if !p.inBounds() {
-				return val{}, memTrap(c.fn.Name, op.src, "store", p)
-			}
-			p.seg.F[p.off] = regs[op.a].f
-			cnt.Stores++
-			if e.tracer != nil && !p.seg.Stack {
-				e.tracer.Store(p.addr())
-			}
-
-		case opStoreI:
-			p := regs[op.b].p
-			if !p.inBounds() {
-				return val{}, memTrap(c.fn.Name, op.src, "store", p)
-			}
-			p.seg.I[p.off] = regs[op.a].i
-			cnt.Stores++
-			if e.tracer != nil && !p.seg.Stack {
-				e.tracer.Store(p.addr())
-			}
-
-		case opPrefetch:
-			// Prefetches never fault: out-of-bounds prefetches are dropped,
-			// matching the non-binding semantics of builtin_prefetch.
-			p := regs[op.a].p
-			cnt.Prefetches++
-			if p.inBounds() && !p.seg.Stack {
-				if e.prefHook != nil {
-					e.prefHook(op.src, p.addr())
-				} else if e.tracer != nil {
-					e.tracer.Prefetch(p.addr())
-				}
-			}
-
-		case opGEP:
-			base := regs[op.a].p
-			off := regs[op.idx[0]].i
-			for k := 1; k < len(op.idx); k++ {
-				off = off*regs[op.dims[k]].i + regs[op.idx[k]].i
-			}
-			regs[op.dst].p = ptr{seg: base.seg, off: base.off + off}
-			cnt.GEPs++
-
-		case opCall:
-			// The callee copies args into its own registers at frame entry,
-			// so the caller's frame-local buffer can be reused across calls.
-			if cap(fr.args) < len(op.args) {
-				fr.args = make([]val, len(op.args))
-			}
-			sub := fr.args[:len(op.args)]
-			for i, r := range op.args {
-				sub[i] = regs[r]
-			}
-			out, err := e.run(op.callee, sub)
-			if err != nil {
-				return val{}, err
-			}
-			if op.dst >= 0 {
-				regs[op.dst] = out
-			}
-			cnt.Calls++
-
-		case opBr:
-			for i, m := range op.moves0 {
-				tmp[i] = regs[m.src]
-			}
-			for i, m := range op.moves0 {
-				regs[m.dst] = tmp[i]
-			}
-			cnt.Branches++
-			pc = op.t0
-			continue
-
-		case opCondBr:
-			var moves []move
-			var target int
-			if regs[op.a].i != 0 {
-				moves, target = op.moves0, op.t0
-			} else {
-				moves, target = op.moves1, op.t1
-			}
-			for i, m := range moves {
-				tmp[i] = regs[m.src]
-			}
-			for i, m := range moves {
-				regs[m.dst] = tmp[i]
-			}
-			cnt.Branches++
-			pc = target
-			continue
-
-		case opRet:
-			if op.a >= 0 {
-				return regs[op.a], nil
-			}
-			return val{}, nil
-
-		case opNop:
-		}
-		pc++
-	}
-	return val{}, fault.New(fault.KindVerify, "interp: fell off end of @%s", c.fn.Name)
 }
 
 func segName(s *Seg) string {

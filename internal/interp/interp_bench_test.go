@@ -24,6 +24,12 @@ task daxpy(float Y[n], float X[n], int n, float a, int reps) {
 
 func setupBench(b *testing.B, optimize bool) (*Env, func()) {
 	b.Helper()
+	return setupBenchOn(b, optimize, func(p *Program) *Env { return NewEnv(p, nil) })
+}
+
+// setupBenchOn is setupBench with the Env built by newEnv.
+func setupBenchOn(b *testing.B, optimize bool, newEnv func(*Program) *Env) (*Env, func()) {
+	b.Helper()
 	m, err := lower.Compile(benchKernel, "bench")
 	if err != nil {
 		b.Fatal(err)
@@ -36,7 +42,7 @@ func setupBench(b *testing.B, optimize bool) (*Env, func()) {
 	h := NewHeap()
 	y := h.AllocFloat("Y", 4096)
 	x := h.AllocFloat("X", 4096)
-	env := NewEnv(NewProgram(m), nil)
+	env := newEnv(NewProgram(m))
 	f := m.Func("daxpy")
 	call := func() {
 		if _, err := env.Call(f, Ptr(y), Ptr(x), Int(4096), Float(1.5), Int(4)); err != nil {
@@ -93,16 +99,21 @@ func BenchmarkInterpDaxpyTraced(b *testing.B) {
 	}
 }
 
-// benchEngines runs the same daxpy body once per execution engine, so a
-// single `-bench Dispatch` invocation compares the register-bytecode VM
-// against the compiled-op tree oracle under identical conditions. Both
-// engines retire the same component-op stream (that is the parity
+// benchEngines runs the same daxpy body on the register-bytecode VM
+// (arm "bytecode") and on the tree oracle from NewOracleEnv (arm "tree"),
+// so a single `-bench Dispatch` invocation compares them under identical
+// conditions. Both retire the same component-op stream (that is the parity
 // contract), so Minstr/s differences are pure dispatch cost.
 func benchEngines(b *testing.B, setup func(env *Env)) {
-	for _, eng := range []Engine{EngineBytecode, EngineTree} {
-		b.Run(eng.String(), func(b *testing.B) {
-			env, call := setupBench(b, true)
-			env.SetEngine(eng)
+	for _, arm := range []struct {
+		name   string
+		newEnv func(*Program) *Env
+	}{
+		{"bytecode", func(p *Program) *Env { return NewEnv(p, nil) }},
+		{"tree", func(p *Program) *Env { return NewOracleEnv(p, nil, nil) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			env, call := setupBenchOn(b, true, arm.newEnv)
 			if setup != nil {
 				setup(env)
 			}

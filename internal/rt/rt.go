@@ -195,16 +195,6 @@ type TraceConfig struct {
 	// injection and is deliberately excluded from Fingerprint — hooks must
 	// not change healthy traces.
 	PhaseHook func(task string, access bool) error
-	// Engine selects the interpreter execution engine (bytecode default,
-	// tree oracle). Excluded from Fingerprint: the engines are required to
-	// produce byte-identical traces, so cached traces are shared across them
-	// (and the differential tests in internal/eval enforce the requirement).
-	Engine interp.Engine
-	// OpStats, when non-nil, accumulates the dynamic op/op-pair histogram of
-	// the run. Recording requires the tree engine (the histogram measures
-	// the unfused op stream). Excluded from Fingerprint: an observer, it
-	// cannot change traces.
-	OpStats *interp.OpStats
 }
 
 // DefaultTraceConfig returns the quad-core evaluation setup with the
@@ -248,7 +238,14 @@ func Run(w *Workload, cfg TraceConfig) (*Trace, error) {
 // execute phase marks only that task Failed and the batch completes, but the
 // fault is still returned (joined, alongside the completed trace) so it can
 // never be silently swallowed. Real cancellation always aborts.
-func RunContext(ctx context.Context, w *Workload, cfg TraceConfig) (tr *Trace, err error) {
+func RunContext(ctx context.Context, w *Workload, cfg TraceConfig) (*Trace, error) {
+	return runContext(ctx, w, cfg, interp.NewEnv)
+}
+
+// runContext is RunContext with every core's interpreter built by newEnv.
+// Production passes interp.NewEnv; the tests pass the tree oracle's
+// constructor (export_test.go) to check the two engines trace identically.
+func runContext(ctx context.Context, w *Workload, cfg TraceConfig, newEnv func(*interp.Program, interp.Tracer) *interp.Env) (tr *Trace, err error) {
 	defer fault.Recover(&err, "trace-run")
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("rt: need at least one core")
@@ -260,33 +257,31 @@ func RunContext(ctx context.Context, w *Workload, cfg TraceConfig) (tr *Trace, e
 		hier *mem.Hierarchy
 		env  *interp.Env
 		tr   *coreTracer
-		// prep memoizes engine-bound prepared handles per task function, so
-		// the per-task dispatch inside a batch carries no map lookup or
-		// compile check (batch-of-tasks amortization). Invalidated whenever
-		// the env is rebuilt.
+		// prep memoizes prepared handles per task function, so the per-task
+		// dispatch inside a batch carries no map lookup or compile check
+		// (batch-of-tasks amortization). Invalidated whenever the env is
+		// rebuilt.
 		prep map[*ir.Func]*interp.Prepared
 	}
-	newEnv := func(ct *coreTracer) *interp.Env {
-		env := interp.NewEnv(prog, ct)
+	coreEnv := func(ct *coreTracer) *interp.Env {
+		env := newEnv(prog, ct)
 		env.SetContext(ctx)
 		env.SetMaxSteps(cfg.MaxSteps)
-		env.SetEngine(cfg.Engine)
 		// Fused cache probe: the bytecode VM feeds the hierarchy directly
-		// from its memory instructions; the tree engine keeps using the
+		// from its memory instructions; the tree oracle keeps using the
 		// coreTracer adapter over the same hierarchy (identical events).
 		env.SetHierarchy(ct.h)
-		env.SetOpStats(cfg.OpStats)
 		return env
 	}
 	rebuild := func(c *core) {
-		c.env = newEnv(c.tr)
+		c.env = coreEnv(c.tr)
 		c.prep = make(map[*ir.Func]*interp.Prepared)
 	}
 	cores := make([]*core, cfg.Cores)
 	for i := range cores {
 		h := mem.NewHierarchy(cfg.Hierarchy, l3)
 		ct := &coreTracer{h: h}
-		cores[i] = &core{hier: h, env: newEnv(ct), tr: ct, prep: make(map[*ir.Func]*interp.Prepared)}
+		cores[i] = &core{hier: h, env: coreEnv(ct), tr: ct, prep: make(map[*ir.Func]*interp.Prepared)}
 	}
 
 	tr = &Trace{Workload: w.Name, Decoupled: cfg.Decoupled, Cores: cfg.Cores, NumBatches: len(w.Batches)}
