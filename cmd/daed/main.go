@@ -33,12 +33,13 @@
 // epoch (a -node with neither is a cluster of one that others can join).
 // Content keys shard across the members on a shared consistent-hash ring
 // with replication factor -replicas; nodes proxy requests for keys they do
-// not own, replicate artifacts write-behind, and converge divergence
-// through the anti-entropy repair loop (-repair-interval) and read-repair.
-// On SIGTERM — or on being removed via POST /v1/members — a node drains
-// gracefully: refusing new work with 503 + Retry-After, finishing
-// in-flight requests, and handing hot artifacts to the surviving owners
-// before exit.
+// not own, replicate artifacts write-behind, pull an owned artifact they
+// miss from a co-owner, and converge divergence through repair passes: one
+// every -repair-interval (negative turns the periodic pass off), one after
+// every membership change, and one at drain. On SIGTERM — or on being
+// removed via POST /v1/members — a node drains gracefully: refusing new
+// work with 503 + Retry-After, finishing in-flight requests, and handing
+// its artifacts, hottest first, to the surviving owners before exit.
 package main
 
 import (
@@ -84,7 +85,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	peers := fs.String("peers", "", "comma-separated base URLs of the other cluster members")
 	replicas := fs.Int("replicas", 0, "copies of each artifact across the cluster (0 = 2, clamped to membership)")
 	joinURL := fs.String("join", "", "URL of a live cluster member to join at startup (requires -node)")
-	repairInterval := fs.Duration("repair-interval", 0, "anti-entropy repair period (0 = 30s, negative = disabled)")
+	repairInterval := fs.Duration("repair-interval", 0, "period of the anti-entropy repair pass (0 = 30s, negative = no periodic pass)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on the graceful drain at shutdown")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -146,7 +147,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	if *joinURL != "" {
 		// Join after the listener is up: the admin's gossip of the new epoch
-		// must be able to reach this node, and warmup streams arrive here.
+		// must be able to reach this node, and the prior owners' repair
+		// passes push its keys here.
 		if err := joinCluster(ctx, strings.TrimRight(*joinURL, "/"), strings.TrimRight(*node, "/")); err != nil {
 			fmt.Fprintln(stderr, "daed:", err)
 			hs.Close()
@@ -167,8 +169,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Graceful drain: flip /healthz to draining and shed new work with 503 +
-	// Retry-After, finish in-flight requests, then (in cluster mode) hand hot
-	// artifacts to the surviving owners. Only after the drain completes does
+	// Retry-After, finish in-flight requests, then (in cluster mode) hand
+	// artifacts, hottest first, to the surviving owners. Only after the drain completes does
 	// the HTTP server itself close. In-flight pipelines whose clients vanish
 	// still abort through the refcounted flight cancellation.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

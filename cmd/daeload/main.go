@@ -21,8 +21,8 @@
 // removing cluster nodes; those requests are reported as their own column
 // (issued/ok) so a drill can assert that churn cost zero accepted requests.
 // At exit the summary also scrapes the cluster's self-healing counters —
-// repair pushes and drops, read-repairs, warmup streams, drain handoffs —
-// summed across every reachable member.
+// repair-pass pushes (periodic, join and drain passes) and drops, and
+// read-repair pulls — summed across every reachable member.
 //
 // Usage:
 //
@@ -111,8 +111,6 @@ type summary struct {
 	RepairPushed  int64 `json:"repair_pushed"`
 	RepairDropped int64 `json:"repair_dropped"`
 	ReadRepairs   int64 `json:"read_repairs"`
-	Warmed        int64 `json:"warmed"`
-	HandedOff     int64 `json:"handed_off"`
 	// Executions is the server-side pipeline execution count over the run;
 	// CollapseRatio is successful requests per execution — how much work
 	// the store and singleflight absorbed.
@@ -340,8 +338,6 @@ func scrapeCluster(ctx context.Context, cl *client.Cluster, sum *summary) {
 		sum.RepairPushed += st.RepairPushed
 		sum.RepairDropped += st.RepairDropped
 		sum.ReadRepairs += st.ReadRepairs
-		sum.Warmed += st.Warmed
-		sum.HandedOff += st.HandedOff
 	}
 	if sum.Executions > 0 {
 		sum.CollapseRatio = float64(sum.OK) / float64(sum.Executions)
@@ -362,8 +358,8 @@ func report(w io.Writer, server string, s *summary) {
 		fmt.Fprintf(w, "  server executions %d — singleflight/store collapse %.1fx\n",
 			s.Executions, s.CollapseRatio)
 	}
-	if s.RepairPushed+s.RepairDropped+s.ReadRepairs+s.Warmed+s.HandedOff > 0 {
-		fmt.Fprintf(w, "  self-healing: repair-pushed %d  repair-dropped %d  read-repairs %d  warmed %d  handed-off %d\n",
-			s.RepairPushed, s.RepairDropped, s.ReadRepairs, s.Warmed, s.HandedOff)
+	if s.RepairPushed+s.RepairDropped+s.ReadRepairs > 0 {
+		fmt.Fprintf(w, "  self-healing: repair-pushed %d  repair-dropped %d  read-repairs %d\n",
+			s.RepairPushed, s.RepairDropped, s.ReadRepairs)
 	}
 }

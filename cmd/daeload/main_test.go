@@ -197,7 +197,7 @@ func TestChurnWindowColumn(t *testing.T) {
 	if sum.ChurnIssued != 20 || sum.ChurnOK != 20 {
 		t.Fatalf("churn = %d/%d, want 20/20", sum.ChurnOK, sum.ChurnIssued)
 	}
-	for _, key := range []string{"repair_pushed", "repair_dropped", "read_repairs", "warmed", "handed_off", "redirects"} {
+	for _, key := range []string{"repair_pushed", "repair_dropped", "read_repairs", "redirects"} {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("JSON summary missing %q field", key)
 		}

@@ -17,7 +17,7 @@ type covTracer struct {
 }
 
 const (
-	lineWarmed uint8 = 1 << iota
+	lineTouched uint8 = 1 << iota
 	lineRead
 )
 
@@ -27,7 +27,7 @@ func (t *covTracer) mark(addr int64, bit uint8) {
 
 func (t *covTracer) Load(addr int64) {
 	if t.inAccess {
-		t.mark(addr, lineWarmed)
+		t.mark(addr, lineTouched)
 	} else {
 		t.mark(addr, lineRead)
 	}
@@ -37,7 +37,7 @@ func (t *covTracer) Store(addr int64) {}
 
 func (t *covTracer) Prefetch(addr int64) {
 	if t.inAccess {
-		t.mark(addr, lineWarmed)
+		t.mark(addr, lineTouched)
 	}
 }
 
@@ -71,7 +71,7 @@ func DynamicCoverage(mod *ir.Module, task, access *ir.Func, h *interp.Heap, args
 	for _, bits := range tr.lines {
 		if bits&lineRead != 0 {
 			read++
-			if bits&lineWarmed != 0 {
+			if bits&lineTouched != 0 {
 				covered++
 			}
 		}

@@ -4,8 +4,9 @@
 // direction, a cold fourth node joins mid-load, and an original member is
 // removed and drains. The scenario asserts the self-healing contract under
 // all of it: zero accepted requests lost, answers byte-identical across
-// every epoch, and the repair machinery (warmup, anti-entropy, handoff)
-// demonstrably moving envelopes — not just counters sitting at zero.
+// every epoch, and the repair passes (after the join, periodic, and the
+// leaver's drain) demonstrably moving envelopes — not just counters
+// sitting at zero.
 package chaos
 
 import (
@@ -120,8 +121,8 @@ func membershipScenario(seed int64, iterTimeout time.Duration) (err error) {
 
 	// Seed synthetic journaled envelopes chosen so the later churn provably
 	// moves ownership: at least two keys the joiner will own. Its store is
-	// fresh, so warmup or anti-entropy must stream them — the drill's proof
-	// that repair moves real envelopes, not just counters.
+	// fresh, so a repair pass must push them — the drill's proof that
+	// repair moves real envelopes, not just counters.
 	oldRing := ring.New(direct[:nNodes], 0, daed.DefaultRingSeed)
 	joinedRing := ring.New(direct, 0, daed.DefaultRingSeed)
 	const leaver = nNodes - 1 // node 0 stays the admin throughout
@@ -211,10 +212,10 @@ func membershipScenario(seed int64, iterTimeout time.Duration) (err error) {
 	var moved int64
 	for _, s := range srvs {
 		st := s.Stats()
-		moved += st.Warmed + st.RepairPushed + st.HandedOff + st.ReadRepairs
+		moved += st.RepairPushed + st.ReadRepairs
 	}
 	if moved == 0 {
-		return fmt.Errorf("chaos: membership drill moved no envelopes (warmup, repair, and handoff all idle)")
+		return fmt.Errorf("chaos: membership drill moved no envelopes (repair passes and read-repair pulls all idle)")
 	}
 	if r, rerr := admin.Ring(ctx); rerr != nil || r.Epoch < jr.Epoch+1 {
 		return fmt.Errorf("chaos: membership epoch did not advance past the leave (ring %+v, err %v)", r, rerr)
@@ -231,7 +232,7 @@ func mustKey(req *daed.SimulateRequest) string {
 }
 
 // putSyntheticArtifact installs one synthetic simulate envelope through a
-// node's peer replication sink — the same path repair and handoff use.
+// node's peer replication sink — the same path repair passes use.
 func putSyntheticArtifact(ctx context.Context, nodeURL, key, report string) error {
 	payload, _ := json.Marshal(map[string]string{"app": "CG", "report": report})
 	body, _ := json.Marshal(daed.ArtifactPutRequest{Key: key, Payload: payload})

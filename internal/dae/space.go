@@ -19,6 +19,7 @@ package dae
 
 import (
 	"fmt"
+	"sort"
 
 	"dae/internal/ir"
 	"dae/internal/poly"
@@ -45,13 +46,6 @@ func (s *space) symIndex(v ir.Value) int {
 	s.syms = append(s.syms, v)
 	s.index[v] = i
 	return i
-}
-
-// intern registers every symbol of a so later vectors are sized consistently.
-func (s *space) intern(a scev.Affine) {
-	for v := range a.Sym {
-		s.symIndex(v)
-	}
 }
 
 // nPar returns the current parameter count.
@@ -129,8 +123,15 @@ type substitution struct {
 func (s *substitution) substAffine(a scev.Affine) (kAffine, error) {
 	out := newKAffine(s.nk)
 	out.Const = a.Const
-	for v, c := range a.Sym {
-		out.Sym[s.sp.symIndex(v)] += c
+	// Intern symbols in name order, not map order: a symbol's index is its
+	// column, and paramExprIR emits the access code column by column.
+	syms := make([]ir.Value, 0, len(a.Sym))
+	for v := range a.Sym {
+		syms = append(syms, v)
+	}
+	sort.Slice(syms, func(i, j int) bool { return syms[i].Ref() < syms[j].Ref() })
+	for _, v := range syms {
+		out.Sym[s.sp.symIndex(v)] += a.Sym[v]
 	}
 	for phi, c := range a.IV {
 		e, ok := s.ivExpr[phi]

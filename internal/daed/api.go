@@ -256,7 +256,4 @@ type RingResponse struct {
 	// Ownership maps each member to its fraction of the key space (primary
 	// arc length).
 	Ownership map[string]float64 `json:"ownership"`
-	// Warming reports the node is still streaming its newly-owned hot
-	// envelopes from prior owners after a join.
-	Warming bool `json:"warming,omitempty"`
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -30,16 +31,9 @@ const ForwardHeader = "X-Dae-Forward"
 // loss keeps the full artifact set reachable.
 const DefaultReplicas = 2
 
-// drainHandoffKeys bounds how many hot keys a draining node pushes to the
-// surviving owners on exit (and how many a joining node streams per prior
-// owner when the config names no WarmKeys). The hottest keys dominate hit
-// rate; shipping the whole store would stretch the window for artifacts the
-// ring will re-derive on demand anyway.
-const drainHandoffKeys = 64
-
 // cluster holds a Server's mutable membership view: the epoch-stamped ring,
 // the replication factor, and the HTTP plumbing for replication, proxying,
-// gossip, repair, and drain handoff. nil on a standalone server (no Self
+// gossip, and repair passes. nil on a standalone server (no Self
 // configured); a Self with no Peers is a cluster of one that peers can join.
 type cluster struct {
 	self        string // this node's advertised base URL (a ring member)
@@ -139,6 +133,11 @@ func (c *cluster) replicaPeers(v *ring.View, key string) []string {
 	return out
 }
 
+// member reports whether this node is in v's ring.
+func (c *cluster) member(v *ring.View) bool {
+	return slices.Contains(v.Members(), c.self)
+}
+
 // peers returns every member of v but self.
 func (c *cluster) peers(v *ring.View) []string {
 	ms := v.Members()
@@ -158,7 +157,7 @@ func (c *cluster) survivors(v *ring.View) *ring.View {
 }
 
 // ArtifactPutRequest is the wire body of PUT /v1/artifact: peer-to-peer
-// artifact replication (write-behind, drain handoff, repair, read-repair).
+// artifact replication (write-behind and repair passes).
 type ArtifactPutRequest struct {
 	Key     string          `json:"key"`
 	Payload json.RawMessage `json:"payload"`
@@ -166,9 +165,9 @@ type ArtifactPutRequest struct {
 
 // handleArtifactPut serves PUT /v1/artifact. It is the replication sink:
 // peers push envelopes here after executing a pipeline for a key this node
-// co-owns, on drain handoff, and from the repair loops. The store
-// re-validates and re-checksums the payload, and a trace/ payload must pass
-// the trace schema check, so a damaged envelope is rejected, never stored.
+// co-owns, and from their repair passes. The store re-validates and
+// re-checksums the payload, and a trace/ payload must pass the trace schema
+// check, so a damaged envelope is rejected, never stored.
 // 204 means installed; 200 means the node already held the key, so senders
 // can count real installs.
 func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
@@ -194,9 +193,8 @@ func (s *Server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleArtifactGet serves GET /v1/artifact?key=: the raw stored envelope,
-// for join warmup, read-repair pulls, and repair pushes between peers. 404
-// on a miss. The receiving store re-verifies the envelope on install, so
-// this endpoint never needs to.
+// for read-repair pulls from co-owners. 404 on a miss. The receiving store
+// re-verifies the envelope on install, so this endpoint never needs to.
 func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
@@ -223,22 +221,11 @@ func (s *Server) handleArtifactHead(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNotFound)
 }
 
-// handleKeys serves GET /v1/keys?n=: up to n hottest retained keys,
-// most-recently-used first — what a joining node streams from prior owners.
-func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	fmt.Sscanf(r.URL.Query().Get("n"), "%d", &n)
-	if n <= 0 {
-		n = drainHandoffKeys
-	}
-	s.writeJSON(w, http.StatusOK, map[string][]string{"keys": s.store.Hottest(n)})
-}
-
 // replicate pushes one artifact envelope to key's other owners,
 // write-behind: the response to the executing request never waits on peers.
 // Failures are logged and dropped — the artifact is re-derivable, the next
-// execution on a surviving owner re-replicates, and the anti-entropy loop
-// converges whatever both miss.
+// execution on a surviving owner re-replicates, and repair passes converge
+// whatever both miss.
 func (s *Server) replicate(key string, payload []byte) {
 	c := s.cluster
 	if c == nil {
@@ -256,7 +243,7 @@ func (s *Server) replicate(key string, payload []byte) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		for _, peer := range peers {
-			if err := s.putArtifact(ctx, peer, key, body); err != nil {
+			if _, err := s.putArtifact(ctx, peer, key, body); err != nil {
 				s.cfg.Log.Printf("daed: replicate %s to %s: %v", key, peer, err)
 				continue
 			}
@@ -268,12 +255,7 @@ func (s *Server) replicate(key string, payload []byte) {
 // putArtifact PUTs one envelope to a peer's replication sink. The returned
 // installed flag distinguishes a fresh install (204) from a peer that
 // already held the key (200).
-func (s *Server) putArtifact(ctx context.Context, peer, key string, payload []byte) error {
-	_, err := s.putArtifactInstalled(ctx, peer, key, payload)
-	return err
-}
-
-func (s *Server) putArtifactInstalled(ctx context.Context, peer, key string, payload []byte) (bool, error) {
+func (s *Server) putArtifact(ctx context.Context, peer, key string, payload []byte) (bool, error) {
 	b, err := json.Marshal(ArtifactPutRequest{Key: key, Payload: payload})
 	if err != nil {
 		return false, err
@@ -424,11 +406,12 @@ func (s *Server) rejectDraining(w http.ResponseWriter) {
 // draining (new work is refused with 503 + Retry-After), gossip the leave
 // view (membership minus self at the next epoch) so peers converge without
 // an admin call, let in-flight and queued executions finish, wait out
-// write-behind replication, then hand the hottest artifact envelopes to the
-// nodes that own them once this node has left the ring. ctx bounds the whole
-// protocol; on expiry Drain returns ctx.Err() with whatever handoff it
-// managed. SIGTERM and an admin leave both land here, so every exit is a
-// leave.
+// write-behind replication, then run one repair pass under the leave view,
+// hottest keys first, which hands every envelope to the owners that miss
+// it. A node an admin leave already removed gossips nothing and hands off
+// under the view that removed it. ctx bounds the whole protocol; on expiry
+// Drain returns ctx.Err() with whatever handoff it managed. SIGTERM and an
+// admin leave both land here, so every exit is a leave.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
@@ -436,7 +419,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.cfg.Log.Printf("daed: drain: refusing new work")
 	var leave *ring.View
 	if c := s.cluster; c != nil {
-		if cur := c.current(); cur.Len() > 1 {
+		switch cur := c.current(); {
+		case !c.member(cur):
+			leave = cur
+		case cur.Len() > 1:
 			leave = c.survivors(cur)
 			s.gossip(ctx, leave, c.peers(cur))
 		}
@@ -459,30 +445,15 @@ func (s *Server) Drain(ctx context.Context) error {
 		return ctx.Err()
 	case <-done:
 	}
-	if leave == nil {
-		s.cfg.Log.Printf("daed: drain: complete")
-		return nil
-	}
-	c := s.cluster
-	handed := 0
-	replicas := c.replicasFor(leave)
-	for _, key := range s.store.Hottest(drainHandoffKeys) {
-		payload, ok := s.store.Get(key)
-		if !ok {
-			continue
-		}
-		for _, peer := range leave.Nodes(key, replicas) {
-			if err := s.putArtifact(ctx, peer, key, payload); err != nil {
-				s.cfg.Log.Printf("daed: drain: handoff %s to %s: %v", key, peer, err)
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				continue
-			}
-			s.stats.handedOff.Add(1)
-			handed++
+	if leave != nil {
+		h := handoff{ctx: ctx, view: leave, done: make(chan struct{})}
+		select {
+		case s.handoffs <- h:
+			<-h.done
+		case <-s.stop:
+		case <-ctx.Done():
 		}
 	}
-	s.cfg.Log.Printf("daed: drain: complete, handed off %d envelopes", handed)
-	return nil
+	s.cfg.Log.Printf("daed: drain: complete")
+	return ctx.Err()
 }

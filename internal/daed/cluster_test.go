@@ -224,8 +224,9 @@ func TestClusterQuarantineLiftFansOut(t *testing.T) {
 }
 
 // TestClusterDrainHandsOff: Drain refuses new work with 503 + Retry-After
-// and class "draining", finishes cleanly, and hands its hot envelopes to
-// the surviving owners — which keep serving the key byte-identically.
+// and class "draining", finishes cleanly, and its repair pass under the
+// leave view hands its envelopes to the surviving owners — which keep
+// serving the key byte-identically.
 func TestClusterDrainHandsOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full pipeline execution")
@@ -251,8 +252,12 @@ func TestClusterDrainHandsOff(t *testing.T) {
 	if err := primary.srv.Drain(drainCtx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if primary.srv.Stats().HandedOff == 0 {
-		t.Fatal("drain handed off no envelopes")
+	// Drain returns only after its repair pass under the leave view, where
+	// the two survivors are the key's owners (R=2).
+	for _, u := range urls {
+		if u != primary.url && !hasKey(t, u, key) {
+			t.Fatalf("surviving owner %s misses the key after the drain", u)
+		}
 	}
 
 	// The drained node sheds new work with the draining contract.

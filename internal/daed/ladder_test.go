@@ -57,6 +57,20 @@ func postTo(s *Server, path string, body any, epoch string) (ladderReply, error)
 	return reply, json.Unmarshal(rec.Body.Bytes(), &reply)
 }
 
+// newRingMember returns a member of a three-node ring (epoch 1, R=1) whose
+// peers are loopback ports nothing listens on, with the periodic repair
+// pass off.
+func newRingMember(t *testing.T) *Server {
+	t.Helper()
+	s := New(Config{
+		Dir:  t.TempDir(),
+		Self: "http://127.0.0.1:1", Peers: []string{"http://127.0.0.1:2", "http://127.0.0.1:3"},
+		Replicas: 1, RepairInterval: -1,
+	})
+	t.Cleanup(s.Close)
+	return s
+}
+
 // TestServingLadder drives every content-keyed endpoint through the rungs
 // of the shared serving ladder: a malformed body, N concurrent identical
 // misses, a store hit, a stale-epoch request to a non-owner, and a request

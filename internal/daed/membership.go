@@ -121,54 +121,37 @@ func (s *Server) handleAdminChange(w http.ResponseWriter, op, node string) {
 
 // adoptView routes a candidate view through the cluster's adoption rule and
 // runs the Server-level side effects of a change: a view that drops self
-// starts the drain/handoff path in the background (a leave is a drain), and
-// a fresh joiner absorbed into a larger cluster starts streaming its
-// newly-owned hot envelopes from the prior owners (warmup).
+// starts the drain in the background (a leave is a drain), and a view that
+// keeps self kicks a repair pass, so the prior owners push a joiner the
+// envelopes it now owns.
 func (s *Server) adoptView(epoch uint64, members []string) (*ring.View, bool) {
 	c := s.cluster
-	old := c.current()
 	nv, changed := c.adopt(epoch, members)
 	if !changed {
 		return nv, false
 	}
 	s.cfg.Log.Printf("daed: membership epoch %d: %v", nv.Epoch, nv.Members())
-	s.forgetRepairsBefore(nv.Epoch)
-	selfIn := false
-	for _, m := range nv.Members() {
-		selfIn = selfIn || m == c.self
-	}
-	if !selfIn {
-		if !s.draining.Load() {
-			s.loopWG.Add(1)
-			go func() {
-				defer s.loopWG.Done()
-				ctx, cancel := s.boundedCtx(s.cfg.DrainTimeout)
-				defer cancel()
-				if err := s.Drain(ctx); err != nil {
-					s.cfg.Log.Printf("daed: drain after removal: %v", err)
-				}
-			}()
-		}
+	if c.member(nv) {
+		s.kickRepair()
 		return nv, true
 	}
-	if old.Len() == 1 && nv.Len() > 1 && old.Members()[0] == c.self {
-		// This node booted as a cluster of one and was just absorbed: it is
-		// a joiner. Stream newly-owned hot envelopes before primary traffic
-		// arrives (clients route here only after they adopt the new epoch).
-		s.warming.Store(true)
+	if !s.draining.Load() {
 		s.loopWG.Add(1)
 		go func() {
 			defer s.loopWG.Done()
-			defer s.warming.Store(false)
-			s.warmup(nv)
+			ctx, cancel := s.boundedCtx(s.cfg.DrainTimeout)
+			defer cancel()
+			if err := s.Drain(ctx); err != nil {
+				s.cfg.Log.Printf("daed: drain after removal: %v", err)
+			}
 		}()
 	}
 	return nv, true
 }
 
 // gossip pushes one view to targets sequentially, each with a bounded
-// per-peer timeout. Unreachable peers are logged and skipped: the repair
-// loop and 421 redirects converge them later.
+// per-peer timeout. Unreachable peers are logged and skipped: repair passes
+// and 421 redirects converge them later.
 func (s *Server) gossip(ctx context.Context, v *ring.View, targets []string) {
 	body, err := json.Marshal(MembersRequest{Op: "gossip", Epoch: v.Epoch, Members: v.Members()})
 	if err != nil {
@@ -192,63 +175,6 @@ func (s *Server) gossip(ctx context.Context, v *ring.View, targets []string) {
 		resp.Body.Close()
 		cancel()
 	}
-}
-
-// warmup streams the hottest envelopes this node now owns from the other
-// members — the join-time transfer that lets a new node serve its share of
-// the key space warm instead of re-deriving every artifact on demand.
-func (s *Server) warmup(v *ring.View) {
-	c := s.cluster
-	ctx, cancel := s.boundedCtx(60 * time.Second)
-	defer cancel()
-	streamed := 0
-	for _, peer := range c.peers(v) {
-		keys, err := s.peerKeys(ctx, peer, s.cfg.WarmKeys)
-		if err != nil {
-			s.cfg.Log.Printf("daed: warmup: keys from %s: %v", peer, err)
-			continue
-		}
-		for _, key := range keys {
-			if !c.owns(v, key) || s.store.Has(key) {
-				continue
-			}
-			payload, err := s.fetchArtifact(ctx, peer, key)
-			if err != nil {
-				continue
-			}
-			if err := s.install(key, payload); err != nil {
-				s.cfg.Log.Printf("daed: warmup: install %s: %v", key, err)
-				continue
-			}
-			s.stats.warmed.Add(1)
-			streamed++
-		}
-	}
-	s.cfg.Log.Printf("daed: warmup: streamed %d envelopes at epoch %d", streamed, v.Epoch)
-}
-
-// peerKeys fetches up to n hottest keys from a peer (GET /v1/keys).
-func (s *Server) peerKeys(ctx context.Context, peer string, n int) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/keys?n=%d", peer, n), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.cluster.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("daed: peer %s: keys status %d", peer, resp.StatusCode)
-	}
-	var body struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&body); err != nil {
-		return nil, err
-	}
-	return body.Keys, nil
 }
 
 // fetchArtifact fetches one stored envelope from a peer (GET /v1/artifact).
@@ -297,18 +223,22 @@ func (s *Server) peerHas(ctx context.Context, peer, key string) (bool, error) {
 // handleRing serves GET /v1/ring: the node's current membership view, for
 // debugging and for client Refresh.
 func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
-	c := s.cluster
-	if c == nil {
+	if s.cluster == nil {
 		s.writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "daed: standalone node has no ring", Class: "standalone"})
 		return
 	}
+	s.writeJSON(w, http.StatusOK, s.ringResponse())
+}
+
+// ringResponse describes the cluster node's current view.
+func (s *Server) ringResponse() *RingResponse {
+	c := s.cluster
 	v := c.current()
-	s.writeJSON(w, http.StatusOK, RingResponse{
+	return &RingResponse{
 		Epoch:     v.Epoch,
 		Self:      c.self,
 		Members:   v.Members(),
 		Replicas:  c.replicasFor(v),
 		Ownership: v.Fractions(),
-		Warming:   s.warming.Load(),
-	})
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"testing"
 	"time"
 
@@ -26,8 +27,8 @@ type memberNode struct {
 }
 
 // bootMember starts one daed node on a fresh loopback port. peers may be
-// empty: that is a cluster of one, joinable later. repair < 0 disables the
-// anti-entropy loop so a test can observe read-repair in isolation.
+// empty: that is a cluster of one, joinable later. repair < 0 turns off the
+// periodic repair pass, so only membership changes and drains run passes.
 func bootMember(t *testing.T, peers []string, repair time.Duration) *memberNode {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -82,7 +83,7 @@ func bootCluster3(t *testing.T, repair time.Duration) []*memberNode {
 }
 
 // putSynthetic installs a synthetic simulate artifact under key on one node
-// via the peer replication sink — the same path repair and handoff use.
+// via the peer replication sink — the same path repair passes use.
 func putSynthetic(t *testing.T, nodeURL, key, report string) {
 	t.Helper()
 	payload, _ := json.Marshal(map[string]string{"app": "CG", "report": report})
@@ -105,7 +106,7 @@ func putSynthetic(t *testing.T, nodeURL, key, report string) {
 // hasKey probes one node for key presence over HEAD /v1/artifact.
 func hasKey(t *testing.T, nodeURL, key string) bool {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodHead, nodeURL+"/v1/artifact?key="+urlQueryEscape(key), nil)
+	req, err := http.NewRequest(http.MethodHead, nodeURL+"/v1/artifact?key="+url.QueryEscape(key), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,23 +116,6 @@ func hasKey(t *testing.T, nodeURL, key string) bool {
 	}
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-func urlQueryEscape(s string) string {
-	// net/url is not imported elsewhere in this file; keep the helper tiny.
-	buf := make([]byte, 0, len(s))
-	const hex = "0123456789ABCDEF"
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '-', c == '_', c == '.', c == '~':
-			buf = append(buf, c)
-		default:
-			buf = append(buf, '%', hex[c>>4], hex[c&0xf])
-		}
-	}
-	return string(buf)
 }
 
 // ringOf fetches one node's current view.
@@ -220,9 +204,9 @@ func TestMembershipJoinAndGossip(t *testing.T) {
 	}
 }
 
-// TestMembershipJoinStreamsWarmup: a joining node streams the hot envelopes
-// it now owns from the prior owners before serving, so its share of the key
-// space is warm without a single client request.
+// TestMembershipJoinStreamsWarmup: adopting a join kicks a repair pass on
+// every member, so the prior owners push the joiner every envelope it now
+// owns without a single client request, even with the periodic pass off.
 func TestMembershipJoinStreamsWarmup(t *testing.T) {
 	a := bootMember(t, nil, -1)
 	b := bootMember(t, []string{a.url}, -1)
@@ -237,37 +221,40 @@ func TestMembershipJoinStreamsWarmup(t *testing.T) {
 		putSynthetic(t, b.url, keys[i], "warm")
 	}
 	j := bootMember(t, nil, -1)
-	if _, err := (&daed.Client{Base: a.url}).Join(ctx, j.url); err != nil {
+	mr, err := (&daed.Client{Base: a.url}).Join(ctx, j.url)
+	if err != nil {
 		t.Fatalf("join joiner: %v", err)
 	}
-	waitFor(t, 10*time.Second, "joiner warmup", func() bool {
-		return j.srv.Stats().Warmed >= 1 && !ringOf(t, j.url).Warming
+	waitFor(t, 5*time.Second, "the joiner adopts the join", func() bool {
+		return ringOf(t, j.url).Epoch == mr.Epoch
 	})
-	// Every key the joiner now owns must be present locally.
-	v := ringOf(t, j.url)
-	rg := ring.New(v.Members, 0, daed.DefaultRingSeed)
-	owned, present := 0, 0
+	// Every key the joiner now owns must arrive.
+	rg := ring.New(mr.Members, 0, daed.DefaultRingSeed)
+	var owned []string
 	for _, k := range keys {
-		for _, o := range rg.Nodes(k, v.Replicas) {
-			if o == j.url {
-				owned++
-				if hasKey(t, j.url, k) {
-					present++
-				}
-			}
+		if rg.Owns(k, j.url, 2) {
+			owned = append(owned, k)
 		}
 	}
-	if owned == 0 {
+	if len(owned) == 0 {
 		t.Fatal("joiner owns none of 24 keys — ring distribution broken")
 	}
-	if present != owned {
-		t.Fatalf("joiner holds %d of its %d owned keys after warmup", present, owned)
-	}
+	waitFor(t, 10*time.Second, "the prior owners' pass delivers the joiner's keys", func() bool {
+		for _, k := range owned {
+			if !hasKey(t, j.url, k) {
+				return false
+			}
+		}
+		// The pusher counts an install once the 204 is back, which may
+		// trail the receiver's install by a moment.
+		return a.srv.Stats().RepairPushed+b.srv.Stats().RepairPushed >= 1
+	})
 }
 
 // TestMembershipLeaveDrainsRemoved: an admin leave removes the node at the
 // next epoch; the removed node learns via gossip, drains, hands its
-// envelopes to the surviving owners, and refuses new work.
+// envelopes to the surviving owners in a repair pass under the view that
+// removed it (minting no further epoch), and refuses new work.
 func TestMembershipLeaveDrainsRemoved(t *testing.T) {
 	nodes := bootCluster3(t, -1)
 	ctx := context.Background()
@@ -280,25 +267,23 @@ func TestMembershipLeaveDrainsRemoved(t *testing.T) {
 	if len(mr.Members) != 2 {
 		t.Fatalf("leave answered %d members, want 2", len(mr.Members))
 	}
-	waitFor(t, 10*time.Second, "survivors converge and removed node drains", func() bool {
+	// Only the removed node holds the key, so only its drain's pass can
+	// deliver it to the survivors, who both own it (R=2).
+	waitFor(t, 10*time.Second, "survivors converge and the removed node hands off", func() bool {
 		for _, n := range nodes[:2] {
 			v := ringOf(t, n.url)
-			if v.Epoch < mr.Epoch || len(v.Members) != 2 {
+			if v.Epoch < mr.Epoch || len(v.Members) != 2 || !hasKey(t, n.url, key) {
 				return false
 			}
 		}
-		return nodes[2].srv.Stats().HandedOff >= 1
+		return nodes[2].srv.Stats().RepairPushed >= 1
 	})
-	// The handed-off envelope reached a surviving owner.
-	rg := ring.New(mr.Members, 0, daed.DefaultRingSeed)
-	holders := 0
-	for _, o := range rg.Nodes(key, 2) {
-		if hasKey(t, o, key) {
-			holders++
+	// The removed node's drain gossips nothing: the view that removed it
+	// already is the leave view, so no survivor adopts an epoch past it.
+	for _, n := range nodes[:2] {
+		if got := ringOf(t, n.url).Epoch; got != mr.Epoch {
+			t.Fatalf("survivor %s at epoch %d after the drain, want the leave's %d", n.url, got, mr.Epoch)
 		}
-	}
-	if holders == 0 {
-		t.Fatal("no surviving owner holds the handed-off envelope")
 	}
 	// The removed node sheds new work with the draining contract.
 	_, err = (&daed.Client{Base: nodes[2].url}).Simulate(ctx, &daed.SimulateRequest{App: "CG"})
@@ -339,36 +324,6 @@ func TestAntiEntropyPushesAndDrops(t *testing.T) {
 	}
 	if st.RepairRounds < 1 {
 		t.Fatal("repair rounds counter never advanced")
-	}
-}
-
-// TestReadRepairPushOnMisplacedHit: serving a store hit for a key this node
-// does not own installs the envelope on the real owners, write-behind.
-func TestReadRepairPushOnMisplacedHit(t *testing.T) {
-	nodes := bootCluster3(t, -1) // no anti-entropy: isolate read-repair
-	urls := []string{nodes[0].url, nodes[1].url, nodes[2].url}
-	key := simKey(t, 2)
-	rg := ring.New(urls, 0, daed.DefaultRingSeed)
-	owners := rg.Nodes(key, 2)
-	var outsider *memberNode
-	for _, n := range nodes {
-		if n.url != owners[0] && n.url != owners[1] {
-			outsider = n
-		}
-	}
-	putSynthetic(t, outsider.url, key, "synthetic-read-repair")
-	resp, err := (&daed.Client{Base: outsider.url}).Simulate(context.Background(), &daed.SimulateRequest{App: "CG", Cores: 2})
-	if err != nil {
-		t.Fatalf("simulate against holder: %v", err)
-	}
-	if !resp.CacheHit || resp.Report != "synthetic-read-repair" {
-		t.Fatalf("holder did not serve its store: hit=%v report=%q", resp.CacheHit, resp.Report)
-	}
-	waitFor(t, 10*time.Second, "read-repair install on owners", func() bool {
-		return hasKey(t, owners[0], key) && hasKey(t, owners[1], key)
-	})
-	if got := outsider.srv.Stats().ReadRepairs; got < 1 {
-		t.Fatalf("read_repairs = %d, want >= 1", got)
 	}
 }
 
@@ -466,9 +421,10 @@ func TestStaleEpochRedirects421(t *testing.T) {
 // cluster: a 3-node cluster takes writes; one replica is killed mid-load and
 // requests keep succeeding behind a one-way chaosnet partition (zero lost);
 // the dead node is removed and a replacement joins at a new epoch with a
-// cold store; anti-entropy restores R=2 for every journaled key without a
-// single client request touching them; read-repair fires on a misplaced
-// hit; and every response stays byte-identical to a single-node reference.
+// cold store; repair passes restore R=2 for every journaled key without a
+// single client request touching them; a misplaced hit is served from the
+// store and a pass moves it to its owners; and every response stays
+// byte-identical to a single-node reference.
 func TestMembershipChurnDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full pipeline executions")
@@ -619,9 +575,9 @@ func TestMembershipChurnDrill(t *testing.T) {
 		return true
 	})
 
-	// Phase 5: anti-entropy alone restores R=2 for every journaled key — no
+	// Phase 5: repair passes alone restore R=2 for every journaled key — no
 	// client request touches them. The replacement booted with an empty
-	// store, so every key it now owns must arrive via repair (or warmup).
+	// store, so every key it now owns must arrive via a pass.
 	rg3 := ring.New(mr.Members, 0, daed.DefaultRingSeed)
 	all := append([]string{key}, seeded...)
 	waitFor(t, 30*time.Second, "anti-entropy restores R=2", func() bool {
@@ -634,9 +590,8 @@ func TestMembershipChurnDrill(t *testing.T) {
 		}
 		return true
 	})
-	// The replacement's join warmup may have restored R=2 without a single
-	// repair push, so take one copy away from an owner that is not
-	// warming and let anti-entropy alone put it back.
+	// Take one copy away from an owner other than the replacement and let
+	// the periodic pass alone put it back.
 	dropKey := seeded[0]
 	var dropFrom *memberNode
 	for _, o := range rg3.Nodes(dropKey, 2) {
@@ -668,8 +623,9 @@ func TestMembershipChurnDrill(t *testing.T) {
 		t.Fatalf("repair pushed %d installs across the cluster, want >= 1", pushed)
 	}
 
-	// Phase 6: read-repair fires on a misplaced hit. A fresh sim-keyed
-	// envelope lands on its non-owner; serving it installs on the owners.
+	// Phase 6: a misplaced hit. A fresh sim-keyed envelope lands on its
+	// non-owner, which still serves it from its store; the envelope reaches
+	// the owners through the non-owner's periodic pass, the only holder.
 	k7 := simKey(t, 7)
 	owned := map[string]bool{}
 	for _, o := range rg3.Nodes(k7, 2) {
@@ -681,6 +637,7 @@ func TestMembershipChurnDrill(t *testing.T) {
 			outsider = n
 		}
 	}
+	before := outsider.srv.Stats()
 	putSynthetic(t, outsider.url, k7, "synthetic-7")
 	resp7, err := (&daed.Client{Base: outsider.url}).Simulate(ctx, &daed.SimulateRequest{App: "CG", Cores: 7})
 	if err != nil {
@@ -689,16 +646,16 @@ func TestMembershipChurnDrill(t *testing.T) {
 	if !resp7.CacheHit || resp7.Report != "synthetic-7" {
 		t.Fatalf("misplaced hit not served from store: hit=%v report=%q", resp7.CacheHit, resp7.Report)
 	}
-	waitFor(t, 15*time.Second, "read-repair install on owners", func() bool {
-		if outsider.srv.Stats().ReadRepairs < 1 {
-			return false
-		}
+	if got := outsider.srv.Stats().StoreHits; got != before.StoreHits+1 {
+		t.Fatalf("non-owner store hits %d -> %d, want one more", before.StoreHits, got)
+	}
+	waitFor(t, 15*time.Second, "a pass installs the envelope on its owners", func() bool {
 		for o := range owned {
 			if !hasKey(t, o, k7) {
 				return false
 			}
 		}
-		return true
+		return outsider.srv.Stats().RepairPushed >= before.RepairPushed+int64(len(owned))
 	})
 
 	// Phase 7: a fresh epoch-aware client refreshes into the final view and

@@ -7,48 +7,84 @@ import (
 	"dae/internal/daed/ring"
 )
 
-// repairLoop is the anti-entropy background loop: every RepairInterval it
-// walks the journal-backed store index, recomputes each key's ownership
-// under the current epoch, pushes under-replicated envelopes to the owners
-// that miss them, and releases keys this node no longer owns once R copies
-// are confirmed elsewhere. A peer that was down during writes — or a
-// topology change that moved keys — converges without a client request ever
-// touching those keys.
+// handoff asks the repair loop for a drain's pass under the leave view,
+// bounded by the drain's ctx; the loop closes done when the pass returns.
+type handoff struct {
+	ctx  context.Context
+	view *ring.View
+	done chan struct{}
+}
+
+// repairLoop is the one goroutine that runs anti-entropy passes, so passes
+// never overlap. Three triggers feed it: the RepairInterval ticker (off when
+// the interval is negative), a kick from every adopted view that keeps this
+// node in the ring (a burst of adoptions collapses into one pass), and
+// Drain's handoff under the leave view.
 func (s *Server) repairLoop() {
 	defer s.loopWG.Done()
-	t := time.NewTicker(s.cfg.RepairInterval)
-	defer t.Stop()
+	var tick <-chan time.Time
+	if s.cfg.RepairInterval > 0 {
+		t := time.NewTicker(s.cfg.RepairInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-t.C:
-			if s.draining.Load() {
-				continue
-			}
-			s.repairRound()
+		case h := <-s.handoffs:
+			s.repairPass(h.ctx, h.view)
+			close(h.done)
+		case <-tick:
+			s.currentPass()
+		case <-s.kick:
+			s.currentPass()
 		}
 	}
 }
 
-// repairRound runs one anti-entropy pass. The discipline is
-// push-then-confirm-then-drop: a key is only released after a round in
-// which every owner answered a presence probe positively, so a partitioned
-// probe can delay convergence but never lose the last copy.
-func (s *Server) repairRound() {
-	c := s.cluster
-	v := c.current()
-	if v.Len() < 2 {
+// kickRepair asks for a pass under the current view without waiting for it.
+func (s *Server) kickRepair() {
+	select {
+	case s.kick <- struct{}{}:
+	default: // a pass is already due
+	}
+}
+
+// currentPass runs one pass under the current view. A draining node runs
+// only its drain's handoff pass.
+func (s *Server) currentPass() {
+	if s.draining.Load() {
 		return
 	}
 	ctx, cancel := s.boundedCtx(time.Minute)
 	defer cancel()
+	s.repairPass(ctx, s.cluster.current())
+}
+
+// repairPass walks the local store hottest key first, pushes each envelope
+// to the owners under v that miss it, and releases the keys this node no
+// longer owns once every owner has a copy. Apart from write-behind
+// replication it is the only code that moves stored envelopes between
+// nodes: the prior owners' pass after a join delivers the joiner its keys,
+// and a drain's pass under the leave view (which lacks this node) hands
+// its envelopes to the survivors. The discipline is
+// push-then-confirm-then-drop: a key is only released after a pass in which
+// every owner answered a presence probe positively, so a partitioned probe
+// can delay convergence but never lose the last copy. A handoff pass keeps
+// its copies: the node is leaving, and its disk store outlives a restart.
+func (s *Server) repairPass(ctx context.Context, v *ring.View) {
+	c := s.cluster
+	if len(c.peers(v)) == 0 {
+		return
+	}
+	member := c.member(v)
 	replicas := c.replicasFor(v)
-	for _, key := range s.store.Keys() {
-		select {
-		case <-s.stop:
+	for _, key := range s.store.Hottest(0) {
+		// A drain preempts a pass under a view that still holds this node:
+		// the handoff pass is next.
+		if ctx.Err() != nil || member && s.draining.Load() {
 			return
-		default:
 		}
 		owners := c.owners(v, key)
 		mine := false
@@ -65,7 +101,7 @@ func (s *Server) repairRound() {
 			switch {
 			case err != nil:
 				// Partial information: act on nothing for this key this
-				// round. Dropping on a failed probe could destroy the last
+				// pass. Dropping on a failed probe could destroy the last
 				// reachable copy.
 				probeFailed = true
 			case has:
@@ -83,7 +119,7 @@ func (s *Server) repairRound() {
 				continue
 			}
 			for _, o := range missing {
-				installed, err := s.putArtifactInstalled(ctx, o, key, payload)
+				installed, err := s.putArtifact(ctx, o, key, payload)
 				if err != nil {
 					s.cfg.Log.Printf("daed: repair: push %s to %s: %v", key, o, err)
 					continue
@@ -92,10 +128,10 @@ func (s *Server) repairRound() {
 					s.stats.repairPushed.Add(1)
 				}
 			}
-			// The drop (if due) waits for the next round's confirmation.
+			// The drop (if due) waits for the next pass's confirmation.
 			continue
 		}
-		if !mine && confirmed >= replicas {
+		if member && !mine && confirmed >= replicas {
 			if s.store.Release(key) {
 				s.stats.repairDropped.Add(1)
 			}
@@ -104,71 +140,11 @@ func (s *Server) repairRound() {
 	s.stats.repairRounds.Add(1)
 }
 
-// maybeReadRepair is the push direction of read-repair: this node just
-// served key from its local store but does not own it under the current
-// view (the key moved in a membership change, or a handoff landed here).
-// Install the verified envelope on the owners that miss it, write-behind,
-// deduplicated per (epoch, key) so a hot mis-placed key costs one repair,
-// not one per hit.
-func (s *Server) maybeReadRepair(v *ring.View, key string, payload []byte) {
-	c := s.cluster
-	if c == nil || v == nil || c.owns(v, key) {
-		return
-	}
-	if _, dup := s.readRepaired.LoadOrStore(repairMark{v.Epoch, key}, struct{}{}); dup {
-		return
-	}
-	body := append([]byte(nil), payload...)
-	s.repWG.Add(1)
-	go func() {
-		defer s.repWG.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, o := range c.owners(v, key) {
-			if o == c.self {
-				continue
-			}
-			has, err := s.peerHas(ctx, o, key)
-			if err != nil || has {
-				continue
-			}
-			installed, err := s.putArtifactInstalled(ctx, o, key, body)
-			if err != nil {
-				s.cfg.Log.Printf("daed: read-repair: push %s to %s: %v", key, o, err)
-				continue
-			}
-			if installed {
-				s.stats.readRepairs.Add(1)
-			}
-		}
-	}()
-}
-
-// repairMark is one (epoch, key) pair maybeReadRepair has pushed.
-type repairMark struct {
-	epoch uint64
-	key   string
-}
-
-// forgetRepairsBefore drops the read-repair marks of epochs before epoch:
-// a newer view recomputes ownership, so an older mark never matches again.
-// A request still pinned to an older view may add one after the sweep; the
-// next adoption drops it.
-func (s *Server) forgetRepairsBefore(epoch uint64) {
-	s.readRepaired.Range(func(k, _ any) bool {
-		if k.(repairMark).epoch < epoch {
-			s.readRepaired.Delete(k)
-		}
-		return true
-	})
-}
-
-// pullFromReplicas is the pull direction of read-repair: this node owns key
-// under the request's view but misses the envelope (it joined after the
-// write, or lost the replication push). Before paying a pipeline execution,
-// fetch the envelope from a co-owner; install re-verifies it (and schema-
-// checks a trace set) before storing it. Returns the payload when a replica
-// supplied it.
+// pullFromReplicas is read-repair: this node owns key under the request's
+// view but misses the envelope (it joined after the write, or lost the
+// replication push). Before paying a pipeline execution, fetch the envelope
+// from a co-owner; install re-verifies it (and schema-checks a trace set)
+// before storing it. Returns the payload when a replica supplied it.
 func (s *Server) pullFromReplicas(ctx context.Context, v *ring.View, key string) ([]byte, bool) {
 	c := s.cluster
 	if c == nil || v == nil || !c.owns(v, key) {

@@ -76,14 +76,12 @@ type Config struct {
 	// RingSeed seeds the consistent-hash ring; 0 means DefaultRingSeed.
 	// All members and clients must agree.
 	RingSeed uint64
-	// RepairInterval is the anti-entropy period: how often the background
-	// repair loop walks the local store, pushes under-replicated envelopes
-	// to their owners, and releases keys this node no longer owns. 0 means
-	// 30s; negative disables the loop.
+	// RepairInterval is the anti-entropy period: how often a repair pass
+	// walks the local store, pushes under-replicated envelopes to their
+	// owners, and releases keys this node no longer owns. 0 means 30s;
+	// negative turns off the periodic pass only (membership changes and
+	// drains still run theirs).
 	RepairInterval time.Duration
-	// WarmKeys bounds how many hot keys a joining node streams per prior
-	// owner during warmup; <= 0 means 64.
-	WarmKeys int
 	// DrainTimeout bounds the drain protocol a membership removal triggers
 	// in the background (an admin leave); 0 means 30s. SIGTERM drains are
 	// bounded by the caller's context instead.
@@ -117,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.RepairInterval == 0 {
 		c.RepairInterval = 30 * time.Second
 	}
-	if c.WarmKeys <= 0 {
-		c.WarmKeys = drainHandoffKeys
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
@@ -147,11 +142,11 @@ type Server struct {
 	draining     atomic.Bool
 	repWG        sync.WaitGroup // in-flight write-behind replications
 
-	stop         chan struct{}  // closed by Close: stops repair/gossip/warmup
-	loopWG       sync.WaitGroup // background loops (repair, gossip, warmup, leave-drain)
-	closed       atomic.Bool
-	warming      atomic.Bool // join warmup still streaming envelopes
-	readRepaired sync.Map    // repairMark set: (epoch, key) pairs already read-repaired
+	stop     chan struct{}  // closed by Close: stops repair/gossip
+	loopWG   sync.WaitGroup // background loops (repair, gossip, leave-drain)
+	closed   atomic.Bool
+	kick     chan struct{} // 1-buffered: a repair pass under the current view is due
+	handoffs chan handoff  // a drain's repair pass under the leave view
 }
 
 // New returns a ready-to-serve Server.
@@ -170,6 +165,8 @@ func New(cfg Config) *Server {
 	}
 	s.q = newQueue(cfg.Workers, cfg.QueueDepth, &s.stats)
 	s.stop = make(chan struct{})
+	s.kick = make(chan struct{}, 1)
+	s.handoffs = make(chan handoff)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
@@ -177,7 +174,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("PUT /v1/artifact", s.handleArtifactPut)
 	s.mux.HandleFunc("GET /v1/artifact", s.handleArtifactGet)
 	s.mux.HandleFunc("HEAD /v1/artifact", s.handleArtifactHead)
-	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
 	s.mux.HandleFunc("POST /v1/members", s.handleMembers)
 	s.mux.HandleFunc("GET /v1/ring", s.handleRing)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -191,7 +187,7 @@ func New(cfg Config) *Server {
 		}
 		fmt.Fprintln(w, "ok")
 	})
-	if s.cluster != nil && cfg.RepairInterval > 0 {
+	if s.cluster != nil {
 		s.loopWG.Add(1)
 		go s.repairLoop()
 	}
@@ -201,7 +197,7 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the background loops (repair, gossip, warmup) and waits for
+// Close stops the background loops (repair, gossip) and waits for
 // them plus in-flight write-behind replication. It does not drain — call
 // Drain first for a graceful exit. Idempotent.
 func (s *Server) Close() {
@@ -243,16 +239,8 @@ func (s *Server) Stats() StatsSnapshot {
 	snap := s.stats.snapshot(s.tenants.tenants())
 	snap.Store = s.store.Stats()
 	snap.Draining = s.draining.Load()
-	if c := s.cluster; c != nil {
-		v := c.current()
-		snap.Ring = &RingSnapshot{
-			Epoch:     v.Epoch,
-			Self:      c.self,
-			Members:   v.Members(),
-			Replicas:  c.replicasFor(v),
-			Ownership: v.Fractions(),
-			Warming:   s.warming.Load(),
-		}
+	if s.cluster != nil {
+		snap.Ring = s.ringResponse()
 	}
 	return snap
 }
@@ -376,7 +364,6 @@ type ladder[A any] struct {
 func serve[A any](ctx context.Context, s *Server, w http.ResponseWriter, r *http.Request, l ladder[A]) {
 	v := s.clusterView()
 	if b, ok := s.store.Get(l.key); ok && l.hit(b) {
-		s.maybeReadRepair(v, l.key, b)
 		return
 	}
 	// A stale epoch-aware client is redirected to the current view (421)
@@ -385,7 +372,7 @@ func serve[A any](ctx context.Context, s *Server, w http.ResponseWriter, r *http
 		return
 	}
 	// An owner that misses the envelope pulls it from a co-owner before
-	// paying a pipeline execution (read-repair, pull direction).
+	// paying a pipeline execution (read-repair).
 	if b, ok := s.pullFromReplicas(ctx, v, l.key); ok && l.hit(b) {
 		return
 	}

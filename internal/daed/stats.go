@@ -31,14 +31,12 @@ type stats struct {
 	proxied       atomic.Int64 // requests relayed to a key's owner
 	replicatedIn  atomic.Int64 // artifact envelopes accepted from peers
 	replicatedOut atomic.Int64 // artifact envelopes pushed to peers
-	handedOff     atomic.Int64 // envelopes handed to survivors during drain
 
 	// self-healing
 	repairRounds  atomic.Int64 // anti-entropy passes over the local store
-	repairPushed  atomic.Int64 // envelopes pushed to under-replicated owners
+	repairPushed  atomic.Int64 // envelopes repair passes installed on owners (join, drain, periodic)
 	repairDropped atomic.Int64 // no-longer-owned keys released after confirming R copies
-	readRepairs   atomic.Int64 // envelopes installed by read-repair (push or pull)
-	warmed        atomic.Int64 // envelopes streamed from prior owners on join
+	readRepairs   atomic.Int64 // envelopes an owner pulled from a co-owner on a miss
 	redirected    atomic.Int64 // 421s answered to stale epoch-aware clients
 
 	mu   sync.Mutex
@@ -97,39 +95,27 @@ type StatsSnapshot struct {
 	QuarantinedTenants int64   `json:"quarantined_tenants"`
 	LatencyP50Ms       float64 `json:"latency_p50_ms"`
 	LatencyP99Ms       float64 `json:"latency_p99_ms"`
-	// Cluster traffic: requests proxied to a key's owner, artifact envelopes
-	// replicated in/out, and envelopes handed to survivors during drain.
+	// Cluster traffic: requests proxied to a key's owner and artifact
+	// envelopes replicated in/out.
 	Proxied       int64 `json:"proxied"`
 	ReplicatedIn  int64 `json:"replicated_in"`
 	ReplicatedOut int64 `json:"replicated_out"`
-	HandedOff     int64 `json:"handed_off"`
-	// Self-healing: anti-entropy rounds/pushes/drops, read-repair installs,
-	// join warmup streams, and 421 redirects answered to stale clients.
+	// Self-healing: repair passes and their pushes and drops (a join's
+	// and a drain's pass included), read-repair pulls, and 421 redirects
+	// answered to stale clients.
 	RepairRounds  int64 `json:"repair_rounds"`
 	RepairPushed  int64 `json:"repair_pushed"`
 	RepairDropped int64 `json:"repair_dropped"`
 	ReadRepairs   int64 `json:"read_repairs"`
-	Warmed        int64 `json:"warmed"`
 	Redirected    int64 `json:"redirected"`
 	// Draining reports the node has begun its drain protocol.
 	Draining bool `json:"draining,omitempty"`
-	// Ring is the node's membership view (nil on a standalone server).
-	Ring *RingSnapshot `json:"ring,omitempty"`
+	// Ring is the node's membership view, as GET /v1/ring answers it (nil
+	// on a standalone server).
+	Ring *RingResponse `json:"ring,omitempty"`
 	// Store is the artifact store's accounting: retained bytes vs budget,
 	// evictions, and the startup scrub report.
 	Store store.Stats `json:"store"`
-}
-
-// RingSnapshot is the ring section of GET /v1/stats.
-type RingSnapshot struct {
-	Epoch    uint64   `json:"epoch"`
-	Self     string   `json:"self"`
-	Members  []string `json:"members"`
-	Replicas int      `json:"replicas"`
-	// Ownership maps each member to its primary share of the key space.
-	Ownership map[string]float64 `json:"ownership"`
-	// Warming reports a join warmup still streaming envelopes.
-	Warming bool `json:"warming,omitempty"`
 }
 
 func (s *stats) snapshot(quarantinedTenants int64) StatsSnapshot {
@@ -151,12 +137,10 @@ func (s *stats) snapshot(quarantinedTenants int64) StatsSnapshot {
 		Proxied:            s.proxied.Load(),
 		ReplicatedIn:       s.replicatedIn.Load(),
 		ReplicatedOut:      s.replicatedOut.Load(),
-		HandedOff:          s.handedOff.Load(),
 		RepairRounds:       s.repairRounds.Load(),
 		RepairPushed:       s.repairPushed.Load(),
 		RepairDropped:      s.repairDropped.Load(),
 		ReadRepairs:        s.readRepairs.Load(),
-		Warmed:             s.warmed.Load(),
 		Redirected:         s.redirected.Load(),
 	}
 }

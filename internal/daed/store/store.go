@@ -508,7 +508,7 @@ func (s *Store) dropLocked(key string) {
 	delete(s.mem, key)
 }
 
-// Delete removes key from the store (drain handoff bookkeeping, tests).
+// Delete removes key from the store (tests: a lost write or a wiped disk).
 func (s *Store) Delete(key string) {
 	s.mu.Lock()
 	s.dropLocked(key)
@@ -534,26 +534,12 @@ func (s *Store) Release(key string) bool {
 
 // Has reports whether key is retained, without promoting it in the LRU
 // order: repair probes must not distort the recency signal that decides
-// eviction and drain handoff.
+// eviction and the order of repair passes.
 func (s *Store) Has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.entries[key]
 	return ok
-}
-
-// Keys returns every retained key in sorted order: the anti-entropy loop's
-// walk of the journal-backed index. Sorted so repair rounds visit keys in a
-// stable order regardless of map iteration.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	out := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		out = append(out, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
 }
 
 // Pin protects key from eviction until the matching Unpin: a request that
@@ -577,8 +563,9 @@ func (s *Store) Unpin(key string) {
 	s.mu.Unlock()
 }
 
-// Hottest returns up to n retained keys in most-recently-used-first order:
-// the working set a draining node hands to its replicas.
+// Hottest returns up to n retained keys (every key when n <= 0) in
+// most-recently-used-first order: the order a repair pass walks the store,
+// so a drain cut short by its deadline has handed off the working set.
 func (s *Store) Hottest(n int) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

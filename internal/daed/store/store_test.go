@@ -381,8 +381,8 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
-// TestKeysHasRelease covers the anti-entropy hooks: Keys walks the retained
-// index sorted, Has probes without bumping recency, and Release respects
+// TestKeysHasRelease covers the anti-entropy hooks: Hottest(0) walks every
+// retained key, Has probes without bumping recency, and Release respects
 // pins.
 func TestKeysHasRelease(t *testing.T) {
 	s := New(t.TempDir(), 0)
@@ -392,8 +392,8 @@ func TestKeysHasRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Keys(); len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("Keys() = %v", got)
+	if got := s.Hottest(0); len(got) != 3 || got[0] != "c" || got[1] != "a" || got[2] != "b" {
+		t.Fatalf("Hottest(0) = %v", got)
 	}
 	if !s.Has("b") || s.Has("zz") {
 		t.Fatalf("Has misreported")

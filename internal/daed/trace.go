@@ -89,7 +89,7 @@ func checkTraceArtifact(payload []byte) error {
 }
 
 // install is the one way a payload from outside the process enters the
-// store (replication, read-repair pulls, join warmup) and the way a
+// store (replication, repair passes, read-repair pulls) and the way a
 // collected trace set does: trace/ keys pass checkTraceArtifact first.
 func (s *Server) install(key string, payload []byte) error {
 	if strings.HasPrefix(key, traceKeyPrefix) {

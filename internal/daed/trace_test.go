@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -101,7 +102,7 @@ func putArtifact(t testing.TB, base, key string, payload []byte) int {
 // getArtifact fetches the stored payload under key.
 func getArtifact(t *testing.T, base, key string) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/artifact?key=" + urlQueryEscape(key))
+	resp, err := http.Get(base + "/v1/artifact?key=" + url.QueryEscape(key))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,14 @@ func Mem2Reg(f *ir.Func) int {
 			}
 		})
 		hasPhi := make(map[*ir.Block]bool)
+		// Seed the worklist in block order, not map order: phis take their
+		// SSA numbers in insertion order, so a map-ordered seed would number
+		// the same function differently from one build to the next.
 		work := make([]*ir.Block, 0, len(defBlocks))
-		for b := range defBlocks {
-			work = append(work, b)
+		for _, b := range f.Blocks {
+			if defBlocks[b] {
+				work = append(work, b)
+			}
 		}
 		for len(work) > 0 {
 			b := work[len(work)-1]
