@@ -5,11 +5,14 @@
 // Traces are collected once through a parallel, cached pipeline (-j bounds
 // the worker count, -cache-dir persists traces across invocations) and every
 // experiment evaluates the shared traces; independent experiments run
-// concurrently and print in a fixed order.
+// concurrently and print in a fixed order. A worker collects one benchmark
+// at a time: one build, and one pass over its task batches that traces the
+// versions the cache lacks, interpreting each execute phase once for all of
+// them.
 //
 // The pipeline is hardened: -timeout bounds the whole invocation, -run-timeout
-// bounds each of the 21 (benchmark, version) collections, and -max-steps
-// bounds each simulated task's interpreter steps. A run that fails — trap,
+// bounds each of the 7 benchmark collections, and -max-steps bounds each
+// simulated task's interpreter steps. A run that fails — trap,
 // budget, timeout, panic — does not take the process down mid-collection;
 // daebench finishes the surviving runs, prints a per-run failure summary
 // (app, run kind, fault class; -v adds captured panic stacks), and exits
@@ -82,10 +85,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "all", "experiment to run: table1, fig3, fig4, zerolat, refined, strategies, all")
 	cores := fs.Int("cores", 4, "number of simulated cores")
 	csvDir := fs.String("csv", "", "also write the selected experiments as CSV files into this directory")
-	jobs := fs.Int("j", 0, "max concurrent trace collections and experiments (0 = GOMAXPROCS)")
+	jobs := fs.Int("j", 0, "max concurrent benchmark collections (each traces a benchmark's three versions in one pass) and experiments (0 = GOMAXPROCS)")
 	cacheDir := fs.String("cache-dir", "", "persist collected traces in this directory and reuse them across runs")
 	timeout := fs.Duration("timeout", 0, "abort the whole invocation after this duration (0 = no limit)")
-	runTimeout := fs.Duration("run-timeout", 0, "abort any single (benchmark, version) collection after this duration (0 = no limit)")
+	runTimeout := fs.Duration("run-timeout", 0, "abort any single benchmark's collection (its build and the trace pass over its versions) after this duration (0 = no limit)")
 	maxSteps := fs.Int64("max-steps", 0, "abort any simulated task after this many interpreter steps (0 = no limit)")
 	degrade := fs.String("degrade", "access", "runtime supervision mode: off (abort on fault), access (quarantine faulting access variants), full (also contain execute faults)")
 	injectSpec := fs.String("inject", "", "fault-injection rules, \"site,app,kind,task,mode[,trap]\" separated by ';' (testing)")

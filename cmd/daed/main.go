@@ -12,6 +12,8 @@
 //   - An admission-controlled job queue bounds concurrent executions
 //     (-workers) and the backlog (-queue-depth); beyond that the server
 //     sheds load with 429 + Retry-After instead of letting latency collapse.
+//     An execution collects one app's runs as one job on one goroutine, so
+//     each admitted execution occupies one worker.
 //   - Per-tenant quarantine (X-Dae-Tenant) contains one tenant's faults to
 //     that tenant's requests; the process and other tenants stay healthy.
 //
@@ -22,7 +24,7 @@
 // Usage:
 //
 //	daed [-addr :8787] [-dir path] [-workers n] [-queue-depth n]
-//	     [-run-workers n] [-default-timeout d] [-max-timeout d]
+//	     [-default-timeout d] [-max-timeout d]
 //	     [-max-run-time d] [-max-steps n] [-store-max-bytes n]
 //	     [-node url [-peers url1,url2] [-replicas r] [-join url]]
 //	     [-repair-interval d] [-drain-timeout d]
@@ -75,7 +77,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", "", "persist artifacts and traces under this directory (empty = memory only)")
 	workers := fs.Int("workers", 0, "max concurrent pipeline executions (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 0, "max executions waiting for a worker before 429s (0 = default 64, -1 = none)")
-	runWorkers := fs.Int("run-workers", 0, "per-request collection parallelism (0 = 1)")
 	defaultTimeout := fs.Duration("default-timeout", 0, "request wait bound when the request names none (0 = 60s)")
 	maxTimeout := fs.Duration("max-timeout", 0, "ceiling on client-requested waits (0 = 5m)")
 	maxRunTime := fs.Duration("max-run-time", 0, "hard bound on one pipeline execution (0 = 10m)")
@@ -114,7 +115,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Dir:            *dir,
 		Workers:        *workers,
 		QueueDepth:     *queueDepth,
-		RunWorkers:     *runWorkers,
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
 		MaxRunTime:     *maxRunTime,

@@ -2,9 +2,13 @@
 // runtime and prints time/energy/EDP for the coupled, manual-DAE, and
 // compiler-DAE versions across the frequency policies.
 //
+// The three versions are traced from one build in one pass over the
+// benchmark's task batches: each version runs its own access phases and
+// caches, and every execute phase is interpreted once for all three.
+//
 // The pipeline is hardened: -timeout bounds the whole invocation,
-// -run-timeout bounds each of the three version collections, and -max-steps
-// bounds each simulated task's interpreter steps. A failed run — trap,
+// -run-timeout bounds the collection (the build and the trace pass), and
+// -max-steps bounds each simulated task's interpreter steps. A failed run — trap,
 // budget, timeout, panic — produces a per-run failure summary (app, run
 // kind, fault class; -v adds captured panic stacks) on stderr and a nonzero
 // exit.
@@ -70,10 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	zeroLat := fs.Bool("zero-latency", false, "assume instantaneous DVFS transitions (future hardware, paper sec. 6.1)")
 	refine := fs.Bool("refine", false, "apply profile-guided prefetch pruning to the compiler-generated access versions")
 	traceOut := fs.String("trace-out", "", "save the compiler-DAE trace as JSON to this file")
-	jobs := fs.Int("j", 0, "max concurrent trace collections (0 = GOMAXPROCS); the three versions trace in parallel")
 	cacheDir := fs.String("cache-dir", "", "persist collected traces in this directory and reuse them across runs")
 	timeout := fs.Duration("timeout", 0, "abort the whole invocation after this duration (0 = no limit)")
-	runTimeout := fs.Duration("run-timeout", 0, "abort any single version's collection after this duration (0 = no limit)")
+	runTimeout := fs.Duration("run-timeout", 0, "abort the benchmark's collection (its build and the trace pass over its three versions) after this duration (0 = no limit)")
 	maxSteps := fs.Int64("max-steps", 0, "abort any simulated task after this many interpreter steps (0 = no limit)")
 	degrade := fs.String("degrade", "access", "runtime supervision mode: off (abort on fault), access (quarantine faulting access variants), full (also contain execute faults)")
 	injectSpec := fs.String("inject", "", "fault-injection rules, \"site,app,kind,task,mode[,trap]\" separated by ';' (testing)")
@@ -116,8 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *serverURL != "" {
 		for name, set := range map[string]bool{
-			"-j": *jobs != 0, "-cache-dir": *cacheDir != "",
-			"-run-timeout": *runTimeout != 0, "-trace-out": *traceOut != "",
+			"-cache-dir": *cacheDir != "", "-run-timeout": *runTimeout != 0,
+			"-trace-out": *traceOut != "",
 		} {
 			if set {
 				fmt.Fprintf(stderr, "daerun: %s configures the local simulation; it has no meaning with -server\n", name)
@@ -142,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.MaxSteps = *maxSteps
 	cfg.Degrade = degradeMode
 	fmt.Fprintf(stdout, "tracing %s on %d cores (coupled, manual DAE, compiler DAE)...\n", app.Name, cfg.Cores)
-	opts := eval.CollectOptions{Workers: *jobs, RunTimeout: *runTimeout}
+	opts := eval.CollectOptions{RunTimeout: *runTimeout}
 	if *cacheDir != "" {
 		opts.Cache = eval.NewTraceCache(*cacheDir)
 	}

@@ -120,15 +120,26 @@ func buildCommon(name, src string, hints map[string]int64, v Variant) (*rt.Workl
 		return nil, nil, err
 	}
 	if v == Manual {
-		access := make(map[string]*ir.Func)
-		for _, task := range w.Module.Tasks() {
-			if man := w.Module.Func(task.Name + "_manual"); man != nil {
-				access[task.Name] = man
-			}
-		}
-		w.Access = access
+		w.Access = manualAccess(w.Module)
 	}
 	return w, results, nil
+}
+
+// ManualAccess returns the hand-written access versions of b's module,
+// keyed by task name: the access map a Manual build wires up. Every build
+// compiles them alongside the compiler's, so one Auto build can trace the
+// coupled (no access map), manual-DAE and compiler-DAE (b.W.Access) runs.
+func (b *Built) ManualAccess() map[string]*ir.Func { return manualAccess(b.W.Module) }
+
+// manualAccess maps each task of mod to its "<task>_manual" function.
+func manualAccess(mod *ir.Module) map[string]*ir.Func {
+	access := make(map[string]*ir.Func)
+	for _, task := range mod.Tasks() {
+		if man := mod.Func(task.Name + "_manual"); man != nil {
+			access[task.Name] = man
+		}
+	}
+	return access
 }
 
 // lcg is a small deterministic generator for benchmark inputs.

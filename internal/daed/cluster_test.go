@@ -226,7 +226,8 @@ func TestClusterQuarantineLiftFansOut(t *testing.T) {
 // TestClusterDrainHandsOff: Drain refuses new work with 503 + Retry-After
 // and class "draining", finishes cleanly, and its repair pass under the
 // leave view hands its envelopes to the surviving owners — which keep
-// serving the key byte-identically.
+// serving the key byte-identically. The draining node is made the key's
+// only holder first, so no survivor's pass can deliver it instead.
 func TestClusterDrainHandsOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full pipeline execution")
@@ -245,6 +246,18 @@ func TestClusterDrainHandsOff(t *testing.T) {
 	ref, err := (&daed.Client{Base: primary.url}).Simulate(ctx, req)
 	if err != nil {
 		t.Fatalf("warm-up request: %v", err)
+	}
+	// Let write-behind replication land on the other owner, then drop every
+	// copy but the primary's.
+	replica := rg.Nodes(key, 2)[1]
+	waitFor(t, 10*time.Second, "write-behind replication", func() bool { return hasKey(t, replica, key) })
+	for _, n := range nodes {
+		if n != primary {
+			n.srv.DropArtifact(key)
+			if hasKey(t, n.url, key) {
+				t.Fatalf("%s still holds the key after the drop", n.url)
+			}
+		}
 	}
 
 	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)

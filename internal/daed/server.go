@@ -40,10 +40,6 @@ type Config struct {
 	// before admission control starts rejecting with 429; < 0 means 0
 	// (reject as soon as every worker is busy), 0 means the default 64.
 	QueueDepth int
-	// RunWorkers bounds the per-request collection parallelism (the three
-	// run kinds of one app); <= 0 means 1, keeping one admitted request ≈
-	// one busy worker so queue capacity stays an honest model of load.
-	RunWorkers int
 	// DefaultTimeout bounds a request's wait when it names none; 0 means
 	// 60s.
 	DefaultTimeout time.Duration
@@ -99,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 0
-	}
-	if c.RunWorkers <= 0 {
-		c.RunWorkers = 1
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
@@ -424,9 +417,12 @@ func execute[A any](ctx context.Context, s *Server, key string, pipeline func(co
 	return art, nil
 }
 
-// collectOptions returns the options a plan's collection runs with.
+// collectOptions returns the options a plan's collection runs with. A
+// request collects one app, which eval traces as one job on one goroutine,
+// so one admitted request is one busy worker and queue capacity stays an
+// honest model of load.
 func (s *Server) collectOptions(p *simPlan) eval.CollectOptions {
-	opts := eval.CollectOptions{Workers: s.cfg.RunWorkers, Cache: s.traces}
+	opts := eval.CollectOptions{Cache: s.traces}
 	if p.refine {
 		opts.Refine = &eval.RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
 	}

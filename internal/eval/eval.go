@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"dae/internal/dae"
 	"dae/internal/fault"
 	"dae/internal/fault/inject"
+	"dae/internal/ir"
 	"dae/internal/rt"
 )
 
@@ -47,21 +49,25 @@ type RefineSpec struct {
 
 // CollectOptions configure the trace-collection pipeline.
 type CollectOptions struct {
-	// Workers bounds the number of concurrent (app, run) trace collections;
-	// values <= 0 mean runtime.GOMAXPROCS(0). Every run is self-contained
-	// (own build, heap, interpreter environments and caches), so results are
-	// byte-identical to a sequential collection regardless of Workers.
+	// Workers bounds the number of apps collected concurrently; values <= 0
+	// mean runtime.GOMAXPROCS(0). An app is one job: one build and one trace
+	// pass (rt.RunGroup) over the runs it needs. Apps share no mutable state
+	// (each has its own build, heap, interpreter environments and caches),
+	// so results are byte-identical to a sequential collection regardless of
+	// Workers.
 	Workers int
 	// Cache, when non-nil, memoizes each (app, run, config) trace so that
 	// repeated collections — e.g. the refined re-trace, which changes only
 	// the Auto run, and not even that where refinement prunes nothing —
-	// reuse prior work instead of re-simulating.
+	// reuse prior work instead of re-simulating. Only the runs the cache
+	// lacks are traced.
 	Cache *TraceCache
 	// Refine, when non-nil, applies profile-guided pruning to the Auto run.
 	Refine *RefineSpec
-	// RunTimeout, when positive, bounds each individual (app, run)
-	// collection; a run that exceeds it fails with fault.ErrTimeout while
-	// the other runs complete normally.
+	// RunTimeout, when positive, bounds each app's group: its build and its
+	// trace pass. When it expires, every run of the group fails with
+	// fault.ErrTimeout; the app's runs loaded from the cache and the other
+	// apps complete normally.
 	RunTimeout time.Duration
 	// Inject, when non-nil, is the fault-injection hook consulted at every
 	// pipeline boundary (tests only; nil in production).
@@ -69,19 +75,24 @@ type CollectOptions struct {
 	// InjectPhase, when non-nil, is consulted by the runtime supervisor
 	// immediately before every task phase of every run, with the run's app
 	// and kind bound in (tests only; nil in production). An inject.Injector's
-	// PhaseFunc has exactly this signature.
+	// PhaseFunc has exactly this signature. With it set, each run is traced
+	// alone: an execute phase faulted in one run only would leave the runs
+	// of a group with diverging heaps.
 	InjectPhase func(app, kind, task string, access bool) error
 }
 
-// runKind identifies one of the three independent traced runs of an app.
+// runKind identifies one of the three traced runs of an app.
 type runKind int
 
 const (
-	runCAE    runKind = iota // compiler build, coupled (no access phases)
-	runManual                // manual build, decoupled
-	runAuto                  // compiler build, decoupled
+	runCAE    runKind = iota // coupled (no access phases)
+	runManual                // decoupled, hand-written access versions
+	runAuto                  // decoupled, compiler-generated access versions
 	numRunKinds
 )
+
+// allKinds lists the run kinds in job order.
+var allKinds = []runKind{runCAE, runManual, runAuto}
 
 func (k runKind) String() string {
 	switch k {
@@ -102,102 +113,196 @@ type runOutput struct {
 	Results map[string]*dae.Result
 }
 
-// guard runs one pipeline stage under panic-to-error recovery and, when an
-// injection hook is installed, lets the hook fail (or crash) the stage
-// first. A panic anywhere below fn — front end, optimizer, generator,
-// interpreter — degrades to a typed fault.ErrPanic error on this one run
-// instead of taking down the whole collection.
-func guard(site inject.Site, app string, kind runKind, hook inject.Hook, fn func() error) (err error) {
-	defer fault.Recover(&err, string(site))
-	if hook != nil {
-		if ierr := hook(site, app, kind.String()); ierr != nil {
-			return ierr
-		}
+// groupOutput is the outcome of collecting some of an app's runs: per run
+// kind, its output or its failure (both nil for a kind not asked for). keys
+// holds each kind's cache key, when the collection went through a cache.
+type groupOutput struct {
+	outs [numRunKinds]*runOutput
+	errs [numRunKinds]error
+	keys [numRunKinds]string
+}
+
+// failAll fails every kind in kinds with err.
+func (g *groupOutput) failAll(kinds []runKind, err error) *groupOutput {
+	for _, k := range kinds {
+		g.outs[k], g.errs[k] = nil, err
 	}
+	return g
+}
+
+// guard runs one pipeline stage under panic-to-error recovery. A panic
+// anywhere below fn — front end, optimizer, generator, interpreter —
+// degrades to a typed fault.ErrPanic error instead of taking down the
+// whole collection.
+func guard(site inject.Site, fn func() error) (err error) {
+	defer fault.Recover(&err, string(site))
 	return fn()
 }
 
-// collectRun builds and traces one (app, kind) pair, verifying the computed
-// output against the Go reference. Each of the three pipeline boundaries —
-// compile, access generation, trace run — is individually guarded.
-func collectRun(ctx context.Context, app bench.App, kind runKind, cfg rt.TraceConfig, opts CollectOptions) (*runOutput, error) {
+// injected lets the fault-injection hook, when installed, fail (or crash)
+// one kind's run at site.
+func injected(site inject.Site, app string, kind runKind, hook inject.Hook) error {
+	if hook == nil {
+		return nil
+	}
+	return guard(site, func() error { return hook(site, app, kind.String()) })
+}
+
+// collectApp resolves the three runs of one app. They form one group: one
+// build and one trace pass (rt.RunGroup) over the runs the cache lacks.
+// With InjectPhase set each run is a group of its own, so an injected
+// execute-phase fault cannot make the heap of one run differ from another's.
+func collectApp(ctx context.Context, app bench.App, cfg rt.TraceConfig, opts CollectOptions) *groupOutput {
+	if opts.InjectPhase == nil {
+		return cachedGroup(ctx, app, allKinds, cfg, opts)
+	}
+	var g groupOutput
+	for _, k := range allKinds {
+		one := cachedGroup(ctx, app, []runKind{k}, cfg, opts)
+		g.outs[k], g.errs[k] = one.outs[k], one.errs[k]
+	}
+	return &g
+}
+
+// cachedGroup resolves kinds of one app through the cache (when present):
+// the kinds it holds are loaded and the rest traced as one group, stored
+// per kind under the key the run has alone (see TraceCache.resolve).
+func cachedGroup(ctx context.Context, app bench.App, kinds []runKind, cfg rt.TraceConfig, opts CollectOptions) *groupOutput {
+	if err := ctx.Err(); err != nil {
+		// The collection was canceled before this app started; fail fast so
+		// the pool drains without touching the simulator.
+		return new(groupOutput).failAll(kinds, fault.Wrap(fault.KindTimeout, err))
+	}
+	tc := opts.Cache
+	if tc == nil {
+		return collectGroup(ctx, app, kinds, cfg, opts, nil)
+	}
+	var keys [numRunKinds]string
+	for _, k := range kinds {
+		keys[k] = runKey(app.Name, k, cfg, opts.Refine)
+	}
+	return tc.resolve(ctx, appFlightKey(app.Name, cfg), keys, kinds, func(ctx context.Context, missing []runKind) *groupOutput {
+		return collectGroup(ctx, app, missing, cfg, opts, &keys)
+	})
+}
+
+// collectGroup builds app once and traces kinds from that build as one
+// rt.RunGroup, verifying the computed output against the Go reference. The
+// injection sites (compile, access generation, trace run) are consulted per
+// kind before the build, so an injected fault fails only its own kind.
+// keys, when non-nil, holds the cache key of each kind: every fresh,
+// undegraded output is stored under it.
+func collectGroup(ctx context.Context, app bench.App, kinds []runKind, cfg rt.TraceConfig, opts CollectOptions, keys *[numRunKinds]string) *groupOutput {
 	if opts.RunTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.RunTimeout)
 		defer cancel()
 	}
-	v := bench.Auto
-	if kind == runManual {
-		v = bench.Manual
+	g := &groupOutput{}
+	var todo []runKind
+	for _, k := range kinds {
+		err := injected(inject.SiteCompile, app.Name, k, opts.Inject)
+		if err == nil && k == runAuto && opts.Refine != nil {
+			err = injected(inject.SiteAccessGen, app.Name, k, opts.Inject)
+		}
+		if err == nil {
+			err = injected(inject.SiteTraceRun, app.Name, k, opts.Inject)
+		}
+		if err != nil {
+			g.errs[k] = err
+			continue
+		}
+		todo = append(todo, k)
+	}
+	if len(todo) == 0 {
+		return g
 	}
 	var b *bench.Built
-	if err := guard(inject.SiteCompile, app.Name, kind, opts.Inject, func() (err error) {
-		b, err = app.Build(v)
+	if err := guard(inject.SiteCompile, func() (err error) {
+		b, err = app.Build(bench.Auto)
 		return err
 	}); err != nil {
-		return nil, err
+		return g.failAll(todo, err)
 	}
-	if kind == runAuto && opts.Refine != nil {
+	plainAuto := "" // set when runAuto's entry is also the unrefined run's
+	if opts.Refine != nil && slices.Contains(todo, runAuto) {
 		pruned := 0
-		if err := guard(inject.SiteAccessGen, app.Name, kind, opts.Inject, func() (err error) {
+		err := guard(inject.SiteAccessGen, func() (err error) {
 			pruned, err = b.Refine(opts.Refine.Options, opts.Refine.PerTask)
 			return err
-		}); err != nil {
-			return nil, err
-		}
-		if pruned == 0 && opts.Cache != nil {
+		})
+		switch {
+		case err != nil:
+			g.errs[runAuto] = err
+			todo = slices.DeleteFunc(todo, func(k runKind) bool { return k == runAuto })
+		case pruned == 0 && keys != nil:
 			// Refinement that prunes nothing leaves every access version
 			// untouched, so this build is the unrefined build and, builds
 			// being deterministic, traces identically: share the unrefined
-			// run instead of simulating it again.
-			plain := opts
-			plain.Refine = nil
-			return cachedRun(ctx, app, kind, cfg, plain)
+			// run's entry instead of simulating it again. The refined key
+			// gets the same entry, so a later collection finds it without
+			// building. The app's cache flight keeps an unrefined trace of
+			// this app from running meanwhile.
+			plainAuto = runKey(app.Name, runAuto, cfg, nil)
+			if out, ok := opts.Cache.get(plainAuto); ok {
+				g.outs[runAuto] = out
+				opts.Cache.put(keys[runAuto], out)
+				todo = slices.DeleteFunc(todo, func(k runKind) bool { return k == runAuto })
+			}
+		}
+		if len(todo) == 0 {
+			return g
+		}
+	}
+	access := make([]map[string]*ir.Func, len(todo))
+	for i, k := range todo {
+		switch k {
+		case runManual:
+			access[i] = b.ManualAccess()
+		case runAuto:
+			access[i] = b.W.Access
 		}
 	}
 	c := cfg
-	c.Decoupled = kind != runCAE
 	if opts.InjectPhase != nil {
-		app, kind := app.Name, kind.String()
+		// collectApp traces each run alone under a phase hook.
+		app, kind := app.Name, todo[0].String()
 		c.PhaseHook = func(task string, access bool) error {
 			return opts.InjectPhase(app, kind, task, access)
 		}
 	}
-	var tr *rt.Trace
-	if err := guard(inject.SiteTraceRun, app.Name, kind, opts.Inject, func() error {
-		var err error
-		tr, err = rt.RunContext(ctx, b.W, c)
-		if err != nil {
-			return err
+	trs, errs := rt.RunGroup(ctx, b.W, c, access)
+	// The runs share the build's heap, so one check of its output covers
+	// every run that completed.
+	var verr error
+	if slices.Contains(errs, nil) {
+		verr = guard(inject.SiteTraceRun, b.Verify)
+	}
+	for i, k := range todo {
+		err := errs[i]
+		if err == nil {
+			err = verr
 		}
-		return b.Verify()
-	}); err != nil {
-		return nil, err
+		if err != nil {
+			g.errs[k] = err
+			continue
+		}
+		out := &runOutput{Trace: trs[i]}
+		if k == runCAE {
+			out.Results = b.Results
+		}
+		g.outs[k] = out
+		if keys != nil && !out.Trace.Degraded() {
+			// Degradation reflects transient runtime faults, not trace
+			// content: never cache it, so a later fault-free collection
+			// re-traces cleanly instead of replaying the quarantine forever.
+			if k == runAuto && plainAuto != "" {
+				opts.Cache.put(plainAuto, out)
+			}
+			opts.Cache.put(keys[k], out)
+		}
 	}
-	out := &runOutput{Trace: tr}
-	if kind == runCAE {
-		out.Results = b.Results
-	}
-	return out, nil
-}
-
-// cachedRun resolves one run through the cache (when present). Concurrent
-// collections that miss on the same key — two goroutines, two experiments,
-// two server requests sharing a cache — collapse onto one simulation via the
-// cache's singleflight; the others wait and share the result.
-func cachedRun(ctx context.Context, app bench.App, kind runKind, cfg rt.TraceConfig, opts CollectOptions) (*runOutput, error) {
-	if err := ctx.Err(); err != nil {
-		// The collection was canceled before this run started; fail fast so
-		// the pool drains without touching the simulator.
-		return nil, fault.Wrap(fault.KindTimeout, err)
-	}
-	if opts.Cache == nil {
-		return collectRun(ctx, app, kind, cfg, opts)
-	}
-	key := runKey(app.Name, kind, cfg, opts.Refine)
-	return opts.Cache.resolve(ctx, key, func(ctx context.Context) (*runOutput, error) {
-		return collectRun(ctx, app, kind, cfg, opts)
-	})
+	return g
 }
 
 // forEachJob runs do(0..n-1) on a bounded worker pool. workers <= 0 selects
@@ -233,37 +338,38 @@ func forEachJob(n, workers int, do func(int)) {
 	wg.Wait()
 }
 
-// collectApps fans the (app, run) pairs of apps out over the worker pool and
+// collectApps fans apps out over the worker pool, one job per app, and
 // reassembles them in deterministic app order. All failures are reported as
-// *RunError values, joined in job order, so one broken benchmark does not
-// mask the others and summaries stay deterministic under any worker count.
-// Cancellation fails the not-yet-started runs fast (cachedRun's entry check)
-// and interrupts in-flight interpretation, so the pool always drains.
+// *RunError values, joined in (app, run) order, so one broken benchmark does
+// not mask the others and summaries stay deterministic under any worker
+// count. Cancellation fails the not-yet-started apps fast (cachedGroup's
+// entry check) and interrupts in-flight interpretation, so the pool always
+// drains.
 func collectApps(ctx context.Context, apps []bench.App, cfg rt.TraceConfig, opts CollectOptions) ([]*AppData, error) {
-	n := len(apps) * int(numRunKinds)
-	outs := make([]*runOutput, n)
-	errs := make([]error, n)
-	forEachJob(n, opts.Workers, func(i int) {
-		app, kind := apps[i/int(numRunKinds)], runKind(i%int(numRunKinds))
-		out, err := cachedRun(ctx, app, kind, cfg, opts)
-		if err != nil {
-			errs[i] = &RunError{App: app.Name, Kind: kind.String(), Err: err}
-			return
-		}
-		outs[i] = out
+	groups := make([]*groupOutput, len(apps))
+	forEachJob(len(apps), opts.Workers, func(i int) {
+		groups[i] = collectApp(ctx, apps[i], cfg, opts)
 	})
+	var errs []error
+	for ai, g := range groups {
+		for _, k := range allKinds {
+			if g.errs[k] != nil {
+				errs = append(errs, &RunError{App: apps[ai].Name, Kind: k.String(), Err: g.errs[k]})
+			}
+		}
+	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	data := make([]*AppData, len(apps))
 	for ai, app := range apps {
-		base := ai * int(numRunKinds)
+		g := groups[ai]
 		data[ai] = &AppData{
 			Name:    app.Name,
-			CAE:     outs[base+int(runCAE)].Trace,
-			Manual:  outs[base+int(runManual)].Trace,
-			Auto:    outs[base+int(runAuto)].Trace,
-			Results: outs[base+int(runCAE)].Results,
+			CAE:     g.outs[runCAE].Trace,
+			Manual:  g.outs[runManual].Trace,
+			Auto:    g.outs[runAuto].Trace,
+			Results: g.outs[runCAE].Results,
 		}
 	}
 	return data, nil

@@ -206,7 +206,8 @@ func TestRefinePruningNothingTracesIdentically(t *testing.T) {
 		}
 		encode := func(refine *RefineSpec) []byte {
 			t.Helper()
-			out, err := collectRun(context.Background(), app, runAuto, cfg, CollectOptions{Refine: refine})
+			g := collectGroup(context.Background(), app, []runKind{runAuto}, cfg, CollectOptions{Refine: refine}, nil)
+			out, err := g.outs[runAuto], g.errs[runAuto]
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dae/internal/bench"
+	daepass "dae/internal/dae"
 	"dae/internal/fault"
 	"dae/internal/rt"
 )
@@ -110,49 +112,97 @@ func TestCrossProcessCacheRace(t *testing.T) {
 	sameTraces(t, []*AppData{a}, []*AppData{c})
 }
 
-// TestResolveRetriesSharedTimeout: a caller that joined a collection which
-// then failed under its own deadline (a timeout scoped to the caller that
-// started it) while the joiner's context is alive collects afresh instead
-// of inheriting the failure.
+// TestResolveRetriesSharedTimeout: a caller that joined an app's flight
+// takes from it every run stored under its own keys, failures included,
+// and collects afresh only the run the flight's leader lost to a timeout
+// of its own (the leader's deadline; the joiner's context is alive).
 func TestResolveRetriesSharedTimeout(t *testing.T) {
-	tc := NewTraceCache("")
-	leaderIn := make(chan struct{})
-	block := make(chan struct{})
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, err := tc.resolve(context.Background(), "k", func(context.Context) (*runOutput, error) {
-			close(leaderIn)
-			<-block
-			return nil, fault.New(fault.KindTimeout, "leader deadline expired")
-		})
-		leaderErr <- err
-	}()
-	<-leaderIn
+	keys := [numRunKinds]string{"cae", "manual", "auto"}
+	errAccess := fault.New(fault.KindTrap, "access phase trapped")
+	// A joiner that arrives after the leader's flight ended leads its own
+	// and shows nothing; try again then.
+	for attempt := 0; attempt < 10; attempt++ {
+		tc := NewTraceCache("")
+		leaderIn := make(chan struct{})
+		block := make(chan struct{})
+		cae := &runOutput{}
+		leaderDone := make(chan *groupOutput, 1)
+		go func() {
+			leaderDone <- tc.resolve(context.Background(), "app", keys, allKinds, func(_ context.Context, missing []runKind) *groupOutput {
+				close(leaderIn)
+				<-block
+				var g groupOutput
+				g.outs[runCAE] = cae
+				g.errs[runManual] = errAccess
+				g.errs[runAuto] = fault.New(fault.KindTimeout, "leader deadline expired")
+				return &g
+			})
+		}()
+		<-leaderIn
 
-	done := make(chan *runOutput, 1)
-	go func() {
-		out, err := tc.resolve(context.Background(), "k", func(context.Context) (*runOutput, error) {
-			return &runOutput{}, nil
-		})
-		if err != nil {
-			t.Errorf("follower failed permanently: %v", err)
+		var asked []runKind
+		joinerDone := make(chan *groupOutput, 1)
+		go func() {
+			joinerDone <- tc.resolve(context.Background(), "app", keys, allKinds, func(_ context.Context, missing []runKind) *groupOutput {
+				asked = missing
+				var g groupOutput
+				for _, k := range missing {
+					g.outs[k] = &runOutput{}
+				}
+				return &g
+			})
+		}()
+		time.Sleep(100 * time.Millisecond) // let the joiner park on the flight
+		close(block)
+		if g := <-leaderDone; !errors.Is(g.errs[runAuto], fault.ErrTimeout) || g.outs[runCAE] != cae {
+			t.Fatalf("leader = %+v, want its own outcomes", g)
 		}
-		done <- out
-	}()
-	// Let the follower park on the flight. One that arrives late leads a
-	// fresh collection and passes without exercising the retry.
-	time.Sleep(100 * time.Millisecond)
-	close(block)
-	if err := <-leaderErr; !errors.Is(err, fault.ErrTimeout) {
-		t.Fatalf("leader = %v, want its own timeout", err)
+		var g *groupOutput
+		select {
+		case g = <-joinerDone:
+		case <-time.After(30 * time.Second):
+			t.Fatal("joiner never completed after the leader's timeout")
+		}
+		if len(asked) == int(numRunKinds) {
+			continue
+		}
+		if !slices.Equal(asked, []runKind{runAuto}) {
+			t.Fatalf("joiner collected %v afresh, want only %v", asked, runAuto)
+		}
+		if g.outs[runCAE] != cae || g.errs[runCAE] != nil {
+			t.Errorf("joiner's coupled run = (%p, %v), want the leader's output", g.outs[runCAE], g.errs[runCAE])
+		}
+		if g.outs[runManual] != nil || !errors.Is(g.errs[runManual], errAccess) {
+			t.Errorf("joiner's manual run = (%p, %v), want the leader's fault", g.outs[runManual], g.errs[runManual])
+		}
+		if g.outs[runAuto] == nil || g.errs[runAuto] != nil {
+			t.Errorf("joiner's compiler run = (%p, %v), want its own output", g.outs[runAuto], g.errs[runAuto])
+		}
+		return
 	}
-	select {
-	case out := <-done:
-		if out == nil {
-			t.Fatal("follower returned no output")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("follower never completed after leader timeout")
+	t.Fatal("the joiner never joined the leader's flight in 10 attempts")
+}
+
+// TestCollectTimeoutSparesCachedRuns: when an app's traced runs time out,
+// the runs its collection loaded from the cache still succeed, so the
+// failure summary names only the runs that timed out.
+func TestCollectTimeoutSparesCachedRuns(t *testing.T) {
+	app, err := bench.AppByName("LibQ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rt.DefaultTraceConfig()
+	tc := NewTraceCache("")
+	if _, err := CollectWith(context.Background(), app, cfg, CollectOptions{Cache: tc}); err != nil {
+		t.Fatal(err)
+	}
+	delete(tc.mem, runKey(app.Name, runAuto, cfg, nil))
+
+	_, err = collectApps(context.Background(), []bench.App{app}, cfg,
+		CollectOptions{Cache: tc, RunTimeout: time.Nanosecond})
+	fails := Failures(err)
+	if len(fails) != 1 || fails[0].Kind != runAuto.String() || !errors.Is(fails[0], fault.ErrTimeout) {
+		t.Fatalf("failures = %v, want one timeout of the %s run", err, runAuto)
 	}
 }
 
@@ -191,5 +241,50 @@ func TestCollectSharedCacheConcurrentSameApp(t *testing.T) {
 	}
 	if got := saves.Load(); got != int64(numRunKinds) {
 		t.Errorf("disk writes = %d, want exactly %d (one per run kind)", got, numRunKinds)
+	}
+}
+
+// TestCollectSharedCachePlainAndRefined: a plain and a refined collection
+// of one app racing on a shared cache simulate each run once — the coupled
+// and manual runs they share, and each one's compiler run — and each gets
+// the traces it would get alone. CG's refinement prunes a prefetch; LU's
+// prunes none, so its refined run is its unrefined one.
+func TestCollectSharedCachePlainAndRefined(t *testing.T) {
+	cfg := rt.DefaultTraceConfig()
+	refine := &RefineSpec{Options: daepass.DefaultRefine(), PerTask: 4}
+	for _, name := range []string{"CG", "LU"} {
+		app, err := bench.AppByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := NewTraceCache(t.TempDir())
+		var saves atomic.Int64
+		tc.saveFault = func(int) error { saves.Add(1); return nil }
+
+		specs := []*RefineSpec{nil, refine}
+		got := make([]*AppData, len(specs))
+		errs := make([]error, len(specs))
+		var wg sync.WaitGroup
+		for i, r := range specs {
+			wg.Add(1)
+			go func(i int, r *RefineSpec) {
+				defer wg.Done()
+				got[i], errs[i] = CollectWith(context.Background(), app, cfg, CollectOptions{Cache: tc, Refine: r})
+			}(i, r)
+		}
+		wg.Wait()
+		for i, r := range specs {
+			if errs[i] != nil {
+				t.Fatalf("%s collection %d: %v", name, i, errs[i])
+			}
+			alone, err := CollectWith(context.Background(), app, cfg, CollectOptions{Refine: r})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTraces(t, []*AppData{got[i]}, []*AppData{alone})
+		}
+		if got, want := saves.Load(), int64(numRunKinds)+1; got != want {
+			t.Errorf("%s: disk writes = %d, want exactly %d (one per key)", name, got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,10 +33,10 @@ type TraceCache struct {
 	dir string
 	mu  sync.Mutex
 	mem map[string]*runOutput
-	// flights collapses concurrent misses on one key onto a single
-	// collection: the second goroutine waits for the first instead of
-	// re-running the simulation and re-writing the disk envelope.
-	flights flight.Group[string, *runOutput]
+	// flights runs one collection of an app at a time (see resolve): a
+	// concurrent collection waits for it and takes the runs it shares
+	// instead of re-running the simulation and re-writing the envelopes.
+	flights flight.Group[string, *groupOutput]
 	// saveFault, when non-nil, is consulted before each disk-save attempt
 	// with the 0-based attempt number; a non-nil return fails that attempt.
 	// Tests use it to exercise the write-retry path.
@@ -115,32 +116,70 @@ func sumOf(trace, results []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// resolve returns the entry for key, computing it with collect on a miss.
-// Concurrent resolve calls for the same key collapse onto one in-flight
-// collection — exactly one simulation runs and exactly one disk envelope is
-// written; the other callers wait and share the result. collect runs under
-// the flight's context, which is canceled only when every waiting caller
-// has given up. Degraded outputs are returned to every waiter but never
-// stored (transient runtime faults must not poison the cache).
-func (tc *TraceCache) resolve(ctx context.Context, key string, collect func(context.Context) (*runOutput, error)) (*runOutput, error) {
-	out, err, _ := tc.flights.Do(ctx, key, func(ctx context.Context) (*runOutput, error) {
-		if out, ok := tc.get(key); ok {
-			return out, nil
-		}
-		out, err := collect(ctx)
+// appFlightKey names the flight of every collection of app under cfg,
+// plain or refined, whichever kinds it needs.
+func appFlightKey(app string, cfg rt.TraceConfig) string {
+	return fmt.Sprintf("v%d;app=%s;%s", cacheVersion, app, cfg.Fingerprint())
+}
+
+// resolve returns the runs of kinds stored under keys: the ones the cache
+// holds are loaded, and collect traces the missing ones under the app's
+// flight (appFlightKey). One flight per app means concurrent collections
+// of an app — two goroutines, two experiments, two server requests sharing
+// a cache — run one after the other: a caller that finds a flight in the
+// air waits for it and takes from its result every run stored under the
+// caller's own key, so each key is simulated and written to disk once. A
+// kind the flight did not cover (it traced another key, such as the
+// unrefined Auto run, or did not need the kind) or left with a timeout
+// scoped to its leader is resolved again, from the cache first, while ctx
+// is alive. collect runs under the flight's context, which is canceled only
+// when every waiting caller has given up; it must answer (output or error)
+// for every kind it is given.
+func (tc *TraceCache) resolve(ctx context.Context, flightKey string, keys [numRunKinds]string, kinds []runKind, collect func(ctx context.Context, missing []runKind) *groupOutput) *groupOutput {
+	g := &groupOutput{keys: keys}
+	pending := tc.fill(g, kinds)
+	for len(pending) > 0 {
+		want := pending
+		res, err, leader := tc.flights.Do(ctx, flightKey, func(ctx context.Context) (*groupOutput, error) {
+			r := &groupOutput{keys: keys}
+			if missing := tc.fill(r, want); len(missing) > 0 {
+				traced := collect(ctx, missing)
+				for _, k := range missing {
+					r.outs[k], r.errs[k] = traced.outs[k], traced.errs[k]
+				}
+			}
+			return r, nil
+		})
 		if err != nil {
-			return nil, err
+			// ctx died while waiting, or the collection panicked.
+			return g.failAll(pending, err)
 		}
-		if out.Trace != nil && out.Trace.Degraded() {
-			// Degradation reflects transient runtime faults, not trace
-			// content: never cache it, so a later fault-free collection
-			// re-traces cleanly instead of replaying the quarantine forever.
-			return out, nil
+		var again []runKind
+		for _, k := range want {
+			covered := res.keys[k] == keys[k] && (res.outs[k] != nil || res.errs[k] != nil)
+			if !leader && (!covered || errors.Is(res.errs[k], fault.ErrTimeout)) {
+				again = append(again, k)
+				continue
+			}
+			g.outs[k], g.errs[k] = res.outs[k], res.errs[k]
 		}
-		tc.put(key, out)
-		return out, nil
-	})
-	return out, err
+		pending = tc.fill(g, again)
+	}
+	return g
+}
+
+// fill loads into g each of kinds the cache holds under g.keys and returns
+// the kinds it lacks.
+func (tc *TraceCache) fill(g *groupOutput, kinds []runKind) []runKind {
+	var missing []runKind
+	for _, k := range kinds {
+		if out, ok := tc.get(g.keys[k]); ok {
+			g.outs[k] = out
+		} else {
+			missing = append(missing, k)
+		}
+	}
+	return missing
 }
 
 // get returns the entry for key, consulting memory first and then disk.

@@ -58,14 +58,16 @@ var valueNumber = regexp.MustCompile(`%t[0-9]+`)
 
 // traced is one run traced on one engine. stats is the tree oracle's op
 // histogram (nil for the bytecode VM). budgeted is the run traced again
-// under budget with execute faults contained (rt.DegradeFull), and faults
-// is the text of the faults that pass returned.
+// under budget with execute faults contained (rt.DegradeFull); rawFaults is
+// the text of the faults that pass returned, and faults the same text with
+// SSA temporary numbers removed.
 type traced struct {
-	trace    *rt.Trace
-	results  map[string]*dae.Result
-	stats    *interp.OpStats
-	budgeted *rt.Trace
-	faults   string
+	trace     *rt.Trace
+	results   map[string]*dae.Result
+	stats     *interp.OpStats
+	budgeted  *rt.Trace
+	rawFaults string
+	faults    string
 }
 
 // traceOn builds r afresh and traces it under cfg on the bytecode VM
@@ -104,7 +106,8 @@ func traceRun(r suiteRun, oracle bool) (traced, error) {
 	cfg := rt.DefaultTraceConfig()
 	cfg.MaxSteps, cfg.Degrade = budget, rt.DegradeFull
 	if _, out.budgeted, err = traceOn(r, oracle, cfg, nil); err != nil {
-		out.faults = valueNumber.ReplaceAllString(err.Error(), "%t")
+		out.rawFaults = err.Error()
+		out.faults = valueNumber.ReplaceAllString(out.rawFaults, "%t")
 	}
 	return out, nil
 }

@@ -238,166 +238,348 @@ func Run(w *Workload, cfg TraceConfig) (*Trace, error) {
 // execute phase marks only that task Failed and the batch completes, but the
 // fault is still returned (joined, alongside the completed trace) so it can
 // never be silently swallowed. Real cancellation always aborts.
+//
+// RunContext is RunGroup's group of one.
 func RunContext(ctx context.Context, w *Workload, cfg TraceConfig) (*Trace, error) {
-	return runContext(ctx, w, cfg, interp.NewEnv)
+	trs, errs := RunGroup(ctx, w, cfg, []map[string]*ir.Func{runAccess(w, cfg)})
+	return trs[0], errs[0]
 }
 
-// runContext is RunContext with every core's interpreter built by newEnv.
-// Production passes interp.NewEnv; the tests pass the tree oracle's
-// constructor (export_test.go) to check the two engines trace identically.
-func runContext(ctx context.Context, w *Workload, cfg TraceConfig, newEnv func(*interp.Program, interp.Tracer) *interp.Env) (tr *Trace, err error) {
+// runAccess is the access map of the one run cfg selects: nil (coupled)
+// unless cfg.Decoupled, and never nil when it is.
+func runAccess(w *Workload, cfg TraceConfig) map[string]*ir.Func {
+	if !cfg.Decoupled {
+		return nil
+	}
+	if w.Access == nil {
+		return map[string]*ir.Func{}
+	}
+	return w.Access
+}
+
+// RunGroup traces several runs of one workload in one pass over its
+// batches. access holds one access map per run: a nil map makes the run
+// coupled, any other map makes it decoupled with those access versions
+// (cfg.Decoupled and w.Access are not consulted). It returns, per run, the
+// trace and the error RunContext would have returned for that run alone.
+//
+// The runs share w's heap and the interpretation of every execute phase.
+// Each run keeps its own per-core hierarchies and shared L3, its records,
+// its quarantine, its PlaceLeastLoaded load and its contained execute
+// faults. Sharing is sound because access phases are store-free (dae purity
+// verification): whatever access phases ran, every run's execute phase
+// sees the same heap, executes the same operations and emits the same
+// memory events, and each event is fed to the hierarchy of the core the run
+// placed the task on. A group of more than one run checks that premise: an
+// access phase that reaches its hierarchy with a store fails every run
+// still going with a fault.KindVerify error, because the heap they share
+// has changed.
+//
+// A fault in a shared execute phase is every live run's fault. A run that
+// an access-phase fault ends (under DegradeOff) drops out and the others go
+// on. cfg.PhaseHook is consulted before each run's access phase and once
+// before each shared execute phase.
+//
+// While one run is live, its execute phases feed its hierarchy through the
+// VM's fused probe, as RunContext always does. With more than one, they
+// run on one more Env whose Tracer fans each event out to the live runs'
+// hierarchies.
+func RunGroup(ctx context.Context, w *Workload, cfg TraceConfig, access []map[string]*ir.Func) ([]*Trace, []error) {
+	return runGroup(ctx, w, cfg, access, interp.NewEnv)
+}
+
+// runGroup is RunGroup with every interpreter built by newEnv. Production
+// passes interp.NewEnv; the tests pass the tree oracle's constructor
+// (export_test.go) to check the two engines trace identically.
+func runGroup(ctx context.Context, w *Workload, cfg TraceConfig, access []map[string]*ir.Func, newEnv func(*interp.Program, interp.Tracer) *interp.Env) ([]*Trace, []error) {
+	g := &group{ctx: ctx, cfg: cfg, newEnv: newEnv}
+	for _, acc := range access {
+		g.runs = append(g.runs, &groupRun{access: acc})
+	}
+	if err := g.run(w); err != nil {
+		g.abort(err)
+	}
+	trs := make([]*Trace, len(g.runs))
+	errs := make([]error, len(g.runs))
+	for i, r := range g.runs {
+		switch {
+		case r.err != nil:
+			errs[i] = r.err
+		case len(r.execFaults) > 0:
+			trs[i], errs[i] = r.tr, errors.Join(r.execFaults...)
+		default:
+			trs[i] = r.tr
+		}
+	}
+	return trs, errs
+}
+
+// group is the state of one RunGroup call.
+type group struct {
+	ctx    context.Context
+	cfg    TraceConfig
+	newEnv func(*interp.Program, interp.Tracer) *interp.Env
+	prog   *interp.Program
+	runs   []*groupRun
+	// fan and shared run the execute phases of more than one live run;
+	// shared is built on first use.
+	fan    fanout
+	shared *executor
+}
+
+// groupRun is one run of a group.
+type groupRun struct {
+	access     map[string]*ir.Func
+	tr         *Trace
+	cores      []*executor
+	load       []int64
+	execFaults []error
+	// err is the fault that ended the run; the run is live while it is nil.
+	err error
+	// ci and rec are the current task's core and record.
+	ci  int
+	rec TaskRecord
+}
+
+// executor is one interpreter Env with the tracer and hierarchy it was
+// built with, so it can be rebuilt after a fault. A run's simulated core
+// is an executor whose hier is the core's hierarchy.
+type executor struct {
+	env    *interp.Env
+	tracer interp.Tracer
+	hier   *mem.Hierarchy
+	// prep memoizes prepared handles per task function, so the per-task
+	// dispatch inside a batch carries no map lookup or compile check
+	// (batch-of-tasks amortization). Invalidated whenever env is rebuilt.
+	prep map[*ir.Func]*interp.Prepared
+}
+
+// fanout feeds each memory event of a shared execute phase to the
+// hierarchies in hs (one per live run), through the probe the VM's fused
+// path uses.
+type fanout struct{ hs []*mem.Hierarchy }
+
+func (f *fanout) Load(a int64)     { f.access(a, mem.Load) }
+func (f *fanout) Store(a int64)    { f.access(a, mem.Store) }
+func (f *fanout) Prefetch(a int64) { f.access(a, mem.Prefetch) }
+
+func (f *fanout) access(a int64, kind mem.AccessKind) {
+	for _, h := range f.hs {
+		if !h.AccessHit(a, kind) {
+			h.Access(a, kind)
+		}
+	}
+}
+
+// newExecutor returns a fresh executor whose Env reports memory events to
+// tracer and, when hier is non-nil, to hier through the fused probe.
+func (g *group) newExecutor(tracer interp.Tracer, hier *mem.Hierarchy) *executor {
+	x := &executor{tracer: tracer, hier: hier}
+	g.rebuild(x)
+	return x
+}
+
+// rebuild replaces x's Env. After a fault the interpreter may have unwound
+// mid-call; a fresh Env is simpler than reasoning about its pools.
+func (g *group) rebuild(x *executor) {
+	env := g.newEnv(g.prog, x.tracer)
+	env.SetContext(g.ctx)
+	env.SetMaxSteps(g.cfg.MaxSteps)
+	// Fused cache probe: the bytecode VM feeds the hierarchy directly from
+	// its memory instructions; the tree oracle keeps using the tracer over
+	// the same hierarchy (identical events).
+	env.SetHierarchy(x.hier)
+	x.env, x.prep = env, make(map[*ir.Func]*interp.Prepared)
+}
+
+// abort ends every live run with err.
+func (g *group) abort(err error) {
+	for _, r := range g.runs {
+		if r.err == nil {
+			r.err = err
+		}
+	}
+}
+
+// run walks the batches once for every run. A non-nil return ends every
+// run still live.
+func (g *group) run(w *Workload) (err error) {
 	defer fault.Recover(&err, "trace-run")
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("rt: need at least one core")
+	if g.cfg.Cores <= 0 {
+		return fmt.Errorf("rt: need at least one core")
 	}
-	prog := interp.NewProgram(w.Module)
-	l3 := mem.NewCache(cfg.Hierarchy.L3)
-
-	type core struct {
-		hier *mem.Hierarchy
-		env  *interp.Env
-		tr   *coreTracer
-		// prep memoizes prepared handles per task function, so the per-task
-		// dispatch inside a batch carries no map lookup or compile check
-		// (batch-of-tasks amortization). Invalidated whenever the env is
-		// rebuilt.
-		prep map[*ir.Func]*interp.Prepared
-	}
-	coreEnv := func(ct *coreTracer) *interp.Env {
-		env := newEnv(prog, ct)
-		env.SetContext(ctx)
-		env.SetMaxSteps(cfg.MaxSteps)
-		// Fused cache probe: the bytecode VM feeds the hierarchy directly
-		// from its memory instructions; the tree oracle keeps using the
-		// coreTracer adapter over the same hierarchy (identical events).
-		env.SetHierarchy(ct.h)
-		return env
-	}
-	rebuild := func(c *core) {
-		c.env = coreEnv(c.tr)
-		c.prep = make(map[*ir.Func]*interp.Prepared)
-	}
-	cores := make([]*core, cfg.Cores)
-	for i := range cores {
-		h := mem.NewHierarchy(cfg.Hierarchy, l3)
-		ct := &coreTracer{h: h}
-		cores[i] = &core{hier: h, env: coreEnv(ct), tr: ct, prep: make(map[*ir.Func]*interp.Prepared)}
-	}
-
-	tr = &Trace{Workload: w.Name, Decoupled: cfg.Decoupled, Cores: cfg.Cores, NumBatches: len(w.Batches)}
-
-	// runPhase consults the injection hook, then interprets fn on c. Panics
-	// are recovered here (not just at the trace boundary) so the supervisor
-	// can act on a crashing phase like on any other fault.
-	runPhase := func(c *core, task string, fn *ir.Func, args []interp.Value, access bool) (w cpu.PhaseWork, err error) {
-		defer fault.Recover(&err, "task-phase")
-		if cfg.PhaseHook != nil {
-			if herr := cfg.PhaseHook(task, access); herr != nil {
-				return cpu.PhaseWork{}, herr
-			}
+	g.prog = interp.NewProgram(w.Module)
+	for _, r := range g.runs {
+		l3 := mem.NewCache(g.cfg.Hierarchy.L3)
+		r.cores = make([]*executor, g.cfg.Cores)
+		for i := range r.cores {
+			h := mem.NewHierarchy(g.cfg.Hierarchy, l3)
+			r.cores[i] = g.newExecutor(&coreTracer{h: h}, h)
 		}
-		prep, ok := c.prep[fn]
-		if !ok {
-			var perr error
-			prep, perr = c.env.Prepare(fn)
-			if perr != nil {
-				return cpu.PhaseWork{}, perr
-			}
-			c.prep[fn] = prep
-		}
-		c.env.ResetCounts()
-		c.hier.ResetStats()
-		if _, cerr := prep.Call(args...); cerr != nil {
-			return cpu.PhaseWork{}, cerr
-		}
-		return cpu.PhaseWork{Counts: c.env.Counts(), Mem: c.hier.Stats}, nil
+		r.load = make([]int64, g.cfg.Cores)
+		r.tr = &Trace{Workload: w.Name, Decoupled: r.access != nil, Cores: g.cfg.Cores, NumBatches: len(w.Batches)}
 	}
 
-	// execFaults accumulates contained execute-phase faults (DegradeFull).
-	var execFaults []error
-
-	// load tracks accumulated instruction counts per core within the
-	// current batch, for the least-loaded placement policy.
-	load := make([]int64, cfg.Cores)
+	live := make([]*groupRun, 0, len(g.runs))
 	for bi, batch := range w.Batches {
-		for i := range load {
-			load[i] = 0
+		for _, r := range g.runs {
+			clear(r.load)
 		}
 		for ti, task := range batch {
-			if err := ctx.Err(); err != nil {
-				return nil, fault.Wrap(fault.KindTimeout, err)
+			if err := g.ctx.Err(); err != nil {
+				return fault.Wrap(fault.KindTimeout, err)
 			}
-			ci := ti % cfg.Cores
-			if cfg.Place == PlaceLeastLoaded {
-				ci = 0
-				for k := 1; k < cfg.Cores; k++ {
-					if load[k] < load[ci] {
-						ci = k
-					}
-				}
-			}
-			c := cores[ci]
 			fn := w.Module.Func(task.Name)
 			if fn == nil {
-				return nil, fmt.Errorf("rt: no task function %q", task.Name)
+				return fmt.Errorf("rt: no task function %q", task.Name)
 			}
-			rec := TaskRecord{Name: task.Name, Core: ci, Batch: bi}
-			if acc := w.Access[task.Name]; cfg.Decoupled && acc != nil {
-				if kind, q := tr.Quarantined[task.Name]; q {
-					// Access variant already quarantined: run coupled.
-					rec.Degraded = true
-					rec.FaultKind = kind
-				} else {
-					work, aerr := runPhase(c, task.Name, acc, task.Args, true)
-					switch {
-					case aerr == nil:
-						rec.HasAccess = true
-						rec.AccessWork = work
-					case ctx.Err() != nil:
-						return nil, fault.Wrap(fault.KindTimeout, ctx.Err())
-					case cfg.Degrade == DegradeOff:
-						return nil, fmt.Errorf("rt: access phase of %s: %w", task.Name, aerr)
-					default:
-						// Supervise: the access phase stored nothing (purity-
-						// verified), so discard it, quarantine the task type's
-						// access variant, and run this task coupled. The
-						// interpreter may have unwound mid-call; rebuild the
-						// core's env rather than reason about its pools.
-						kind := fault.ClassOf(aerr)
-						if tr.Quarantined == nil {
-							tr.Quarantined = make(map[string]string)
-						}
-						tr.Quarantined[task.Name] = kind
-						rec.Degraded = true
-						rec.FaultKind = kind
-						rebuild(c)
-					}
+			live = live[:0]
+			for _, r := range g.runs {
+				if r.err != nil {
+					continue
+				}
+				if err := g.access(r, bi, ti, task); err != nil {
+					return err
+				}
+				if r.err == nil {
+					live = append(live, r)
 				}
 			}
-			work, xerr := runPhase(c, task.Name, fn, task.Args, false)
-			switch {
-			case xerr == nil:
-				rec.ExecWork = work
-			case ctx.Err() != nil:
-				return nil, fault.Wrap(fault.KindTimeout, ctx.Err())
-			case cfg.Degrade != DegradeFull:
-				return nil, fmt.Errorf("rt: execute phase of %s: %w", task.Name, xerr)
-			default:
-				// Contain to task granularity, but never mask: the joined
-				// fault is returned together with the completed trace.
-				rec.Failed = true
-				rec.FaultKind = fault.ClassOf(xerr)
-				execFaults = append(execFaults, fmt.Errorf("rt: execute phase of %s: %w", task.Name, xerr))
-				rebuild(c)
+			if len(live) == 0 {
+				return nil
 			}
-			load[ci] += rec.AccessWork.Counts.Total() + rec.ExecWork.Counts.Total()
-			tr.Records = append(tr.Records, rec)
+			if err := g.execute(live, task, fn); err != nil {
+				return err
+			}
+			for _, r := range live {
+				r.load[r.ci] += r.rec.AccessWork.Counts.Total() + r.rec.ExecWork.Counts.Total()
+				r.tr.Records = append(r.tr.Records, r.rec)
+			}
 		}
 	}
-	if len(execFaults) > 0 {
-		return tr, errors.Join(execFaults...)
+	return nil
+}
+
+// phase consults the injection hook, then interprets fn on x. Panics are
+// recovered here (not just at the trace boundary) so the supervisor can act
+// on a crashing phase like on any other fault.
+func (g *group) phase(x *executor, task string, fn *ir.Func, args []interp.Value, access bool) (counts interp.Counts, err error) {
+	defer fault.Recover(&err, "task-phase")
+	if g.cfg.PhaseHook != nil {
+		if herr := g.cfg.PhaseHook(task, access); herr != nil {
+			return interp.Counts{}, herr
+		}
 	}
-	return tr, nil
+	prep, ok := x.prep[fn]
+	if !ok {
+		if prep, err = x.env.Prepare(fn); err != nil {
+			return interp.Counts{}, err
+		}
+		x.prep[fn] = prep
+	}
+	x.env.ResetCounts()
+	if _, err := prep.Call(args...); err != nil {
+		return interp.Counts{}, err
+	}
+	return x.env.Counts(), nil
+}
+
+// access places task ti of batch bi on one of r's cores and runs r's access
+// phase of it there, if r has one. A fault that ends r alone is left in
+// r.err; the returned fault ends every live run.
+func (g *group) access(r *groupRun, bi, ti int, task Task) error {
+	ci := ti % g.cfg.Cores
+	if g.cfg.Place == PlaceLeastLoaded {
+		ci = 0
+		for k := 1; k < g.cfg.Cores; k++ {
+			if r.load[k] < r.load[ci] {
+				ci = k
+			}
+		}
+	}
+	r.ci = ci
+	r.rec = TaskRecord{Name: task.Name, Core: ci, Batch: bi}
+	acc := r.access[task.Name]
+	if acc == nil {
+		return nil
+	}
+	if kind, q := r.tr.Quarantined[task.Name]; q {
+		// Access variant already quarantined: run coupled.
+		r.rec.Degraded = true
+		r.rec.FaultKind = kind
+		return nil
+	}
+	c := r.cores[ci]
+	c.hier.ResetStats()
+	counts, aerr := g.phase(c, task.Name, acc, task.Args, true)
+	if n := c.hier.Stats.Total(mem.Store); n > 0 && len(g.runs) > 1 {
+		return fault.New(fault.KindVerify,
+			"rt: access phase of %s stored %d times to the heap its group shares", task.Name, n)
+	}
+	switch {
+	case aerr == nil:
+		r.rec.HasAccess = true
+		r.rec.AccessWork = cpu.PhaseWork{Counts: counts, Mem: c.hier.Stats}
+	case g.ctx.Err() != nil:
+		return fault.Wrap(fault.KindTimeout, g.ctx.Err())
+	case g.cfg.Degrade == DegradeOff:
+		r.err = fmt.Errorf("rt: access phase of %s: %w", task.Name, aerr)
+	default:
+		// Supervise: the access phase stored nothing (purity-verified), so
+		// discard it, quarantine the task type's access variant, and run
+		// this task coupled.
+		kind := fault.ClassOf(aerr)
+		if r.tr.Quarantined == nil {
+			r.tr.Quarantined = make(map[string]string)
+		}
+		r.tr.Quarantined[task.Name] = kind
+		r.rec.Degraded = true
+		r.rec.FaultKind = kind
+		g.rebuild(c)
+	}
+	return nil
+}
+
+// execute interprets the execute phase of task once for the live runs,
+// each on the core its access placed the task on. The returned fault ends
+// every live run.
+func (g *group) execute(live []*groupRun, task Task, fn *ir.Func) error {
+	x := live[0].cores[live[0].ci]
+	if len(live) > 1 {
+		g.fan.hs = g.fan.hs[:0]
+		for _, r := range live {
+			g.fan.hs = append(g.fan.hs, r.cores[r.ci].hier)
+		}
+		if g.shared == nil {
+			g.shared = g.newExecutor(&g.fan, nil)
+		}
+		x = g.shared
+	}
+	for _, r := range live {
+		r.cores[r.ci].hier.ResetStats()
+	}
+	counts, xerr := g.phase(x, task.Name, fn, task.Args, false)
+	switch {
+	case xerr == nil:
+		for _, r := range live {
+			r.rec.ExecWork = cpu.PhaseWork{Counts: counts, Mem: r.cores[r.ci].hier.Stats}
+		}
+	case g.ctx.Err() != nil:
+		return fault.Wrap(fault.KindTimeout, g.ctx.Err())
+	case g.cfg.Degrade != DegradeFull:
+		return fmt.Errorf("rt: execute phase of %s: %w", task.Name, xerr)
+	default:
+		// Contain to task granularity, but never mask: the joined fault is
+		// returned together with each completed trace.
+		kind := fault.ClassOf(xerr)
+		for _, r := range live {
+			r.rec.Failed = true
+			r.rec.FaultKind = kind
+			r.execFaults = append(r.execFaults, fmt.Errorf("rt: execute phase of %s: %w", task.Name, xerr))
+		}
+		g.rebuild(x)
+	}
+	return nil
 }
 
 // BuildWorkload compiles TaskC source, generates access versions with the

@@ -1,8 +1,12 @@
-package rt
+package rt_test
 
 import (
 	"context"
 	"testing"
+
+	"dae/internal/bench"
+	"dae/internal/ir"
+	"dae/internal/rt"
 )
 
 // BenchmarkTraceRun drives the full collection pipeline — access and execute
@@ -14,16 +18,16 @@ import (
 func BenchmarkTraceRun(b *testing.B) {
 	for _, arm := range []struct {
 		name string
-		run  func(*Workload, TraceConfig) (*Trace, error)
+		run  func(*rt.Workload, rt.TraceConfig) (*rt.Trace, error)
 	}{
-		{"bytecode", Run},
-		{"tree", func(w *Workload, cfg TraceConfig) (*Trace, error) {
-			return RunOracle(context.Background(), w, cfg, nil)
+		{"bytecode", rt.Run},
+		{"tree", func(w *rt.Workload, cfg rt.TraceConfig) (*rt.Trace, error) {
+			return rt.RunOracle(context.Background(), w, cfg, nil)
 		}},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			w, _ := buildStream(b, 4096, 256)
-			cfg := DefaultTraceConfig()
+			w, _ := rt.BuildStream(b, 4096, 256)
+			cfg := rt.DefaultTraceConfig()
 			if _, err := arm.run(w, cfg); err != nil {
 				b.Fatal(err)
 			}
@@ -35,4 +39,56 @@ func BenchmarkTraceRun(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTraceGroup traces Cholesky's three runs — coupled, manual DAE,
+// compiler DAE — as one RunGroup from one build (arm "grouped", what a
+// cold collection does) and as three RunContext calls on three builds (arm
+// "separate"). Execute phases update the heap in place, so every iteration
+// builds afresh with the timer (and the allocation count) stopped: the
+// figures cover tracing only.
+func BenchmarkTraceGroup(b *testing.B) {
+	app, err := bench.AppByName("Cholesky")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	build := func(v bench.Variant) *bench.Built {
+		b.StopTimer()
+		defer b.StartTimer()
+		bt, err := app.Build(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return bt
+	}
+	b.Run("grouped", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bt := build(bench.Auto)
+			_, errs := rt.RunGroup(ctx, bt.W, rt.DefaultTraceConfig(),
+				[]map[string]*ir.Func{nil, bt.ManualAccess(), bt.W.Access})
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("separate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, r := range []struct {
+				v         bench.Variant
+				decoupled bool
+			}{{bench.Auto, false}, {bench.Manual, true}, {bench.Auto, true}} {
+				bt := build(r.v)
+				cfg := rt.DefaultTraceConfig()
+				cfg.Decoupled = r.decoupled
+				if _, err := rt.RunContext(ctx, bt.W, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

@@ -2,12 +2,18 @@ package rt
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dae/internal/dae"
 	"dae/internal/dvfs"
+	"dae/internal/fault"
 	"dae/internal/interp"
+	"dae/internal/ir"
 	"dae/internal/mem"
 )
 
@@ -343,6 +349,108 @@ func TestRunErrorPaths(t *testing.T) {
 	w2.Batches[0][0].Args = w2.Batches[0][0].Args[:2]
 	if _, err := Run(w2, DefaultTraceConfig()); err == nil {
 		t.Error("wrong arity must error")
+	}
+}
+
+// TestGroupRejectsStoringAccessPhase: the runs of a group share one heap,
+// which is sound only while access phases store nothing. Wiring the task
+// itself in as its own access version makes every access phase store; in
+// a group that fails every run with a typed verify fault naming the task,
+// while alone the run traces as it always has.
+func TestGroupRejectsStoringAccessPhase(t *testing.T) {
+	w, _ := buildStream(t, 1024, 256)
+	storing := map[string]*ir.Func{"triad": w.Module.Func("triad")}
+	trs, errs := RunGroup(context.Background(), w, DefaultTraceConfig(), []map[string]*ir.Func{nil, storing})
+	for i, err := range errs {
+		if !errors.Is(err, fault.ErrVerify) || !strings.Contains(err.Error(), "access phase of triad") {
+			t.Errorf("run %d: err = %v, want a verify fault naming triad's access phase", i, err)
+		}
+		if trs[i] != nil {
+			t.Errorf("run %d returned a trace despite the fault", i)
+		}
+	}
+	trs, errs = RunGroup(context.Background(), w, DefaultTraceConfig(), []map[string]*ir.Func{storing})
+	if errs[0] != nil || trs[0] == nil || !trs[0].Records[0].HasAccess {
+		t.Errorf("a run alone with a storing access phase: err = %v, want a completed decoupled trace", errs[0])
+	}
+}
+
+// TestGroupPlacesRunsApart: under PlaceLeastLoaded each run of a group
+// balances its own load, so one shared execute phase can land on different
+// cores in different runs, and its memory events must reach each run's own
+// core. Here a scale task takes the core a triad task's access phase made
+// busier in the decoupled run; both runs must still equal the same runs
+// traced alone, on the bytecode VM and on the tree oracle.
+func TestGroupPlacesRunsApart(t *testing.T) {
+	const n = 512
+	src := streamSrc + `
+task scale(float D[n], float B[n], int n, int lo, int hi) {
+	for (int i = lo; i < hi; i++) {
+		D[i] = 3.0 * B[i];
+	}
+}
+`
+	opts := dae.Defaults()
+	opts.ParamHints = map[string]int64{"n": n, "lo": 0, "hi": 128}
+	w, results, err := BuildWorkload("two-kernels", src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results["triad"].Access == nil {
+		t.Fatalf("no access version: %s", results["triad"].Reason)
+	}
+	h := interp.NewHeap()
+	a, b, c, d := h.AllocFloat("A", n), h.AllocFloat("B", n), h.AllocFloat("C", n), h.AllocFloat("D", n)
+	triad := func(lo, hi int) Task {
+		return Task{Name: "triad", Args: []interp.Value{interp.Ptr(a), interp.Ptr(b), interp.Ptr(c),
+			interp.Int(n), interp.Int(int64(lo)), interp.Int(int64(hi))}}
+	}
+	scale := func(lo, hi int) Task {
+		return Task{Name: "scale", Args: []interp.Value{interp.Ptr(d), interp.Ptr(b),
+			interp.Int(n), interp.Int(int64(lo)), interp.Int(int64(hi))}}
+	}
+	// Both kernels only write what they read from B and C, so the workload
+	// can be traced again and again from the one heap.
+	w.Batches = [][]Task{{triad(0, 128), scale(0, 200), triad(128, 256), scale(200, 400)}}
+	decoupled := map[string]*ir.Func{"triad": results["triad"].Access}
+	cfg := DefaultTraceConfig()
+	cfg.Cores, cfg.Place = 2, PlaceLeastLoaded
+	access := []map[string]*ir.Func{nil, decoupled}
+
+	alone := make([]*Trace, len(access))
+	for i, acc := range access {
+		w.Access = acc
+		c := cfg
+		c.Decoupled = acc != nil
+		if alone[i], err = RunContext(context.Background(), w, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := false
+	for i := range alone[0].Records {
+		if alone[0].Records[i].Core != alone[1].Records[i].Core {
+			moved = true
+		}
+	}
+	if !moved {
+		t.Fatal("both runs placed every task alike; the test needs a task they place apart")
+	}
+	for _, engine := range []struct {
+		name   string
+		newEnv func(*interp.Program, interp.Tracer) *interp.Env
+	}{
+		{"bytecode", interp.NewEnv},
+		{"tree", func(p *interp.Program, tr interp.Tracer) *interp.Env { return interp.NewOracleEnv(p, tr, nil) }},
+	} {
+		trs, errs := runGroup(context.Background(), w, cfg, access, engine.newEnv)
+		for i := range access {
+			if errs[i] != nil {
+				t.Fatalf("%s run %d: %v", engine.name, i, errs[i])
+			}
+			if !reflect.DeepEqual(trs[i], alone[i]) {
+				t.Errorf("%s run %d: grouped trace differs from the run traced alone", engine.name, i)
+			}
+		}
 	}
 }
 
