@@ -1,7 +1,8 @@
 // Package mem simulates the memory hierarchy of the evaluation machine
 // (a quad-core Intel Sandybridge in the paper): per-core L1 and L2 caches, a
 // shared L3, and DRAM. The interpreter's memory events are fed through a
-// per-core Hierarchy; the hit-level statistics drive the interval timing
+// per-core Hierarchy, or, for a phase several runs share, through a Group
+// of their hierarchies; the hit-level statistics drive the interval timing
 // model in internal/cpu. The simulator is deterministic.
 package mem
 
@@ -48,7 +49,7 @@ type Config struct {
 // ways holding an invalid tag) so a probe touches a single contiguous run of
 // memory, and the MRU way is checked first: the interpreter's spatial
 // locality makes "same line as last time" the dominant outcome, and that
-// case costs one compare. Hit/miss accounting and replacement order are
+// case costs one compare. Hit/miss outcomes and replacement order are
 // identical to the per-set slice implementation this replaces.
 type Cache struct {
 	cfg   Config
@@ -56,9 +57,6 @@ type Cache struct {
 	nsets int64
 	assoc int
 	shift uint
-
-	Hits   int64
-	Misses int64
 }
 
 // invalidTag marks an empty way. Heap addresses start at 1<<20 (the heap
@@ -93,31 +91,24 @@ func (c *Cache) Lookup(addr int64) bool {
 	set := c.tags[base : base+c.assoc]
 	if set[0] == ln {
 		// MRU fast path: no reordering needed.
-		c.Hits++
 		return true
 	}
 	return c.lookupSlow(set, ln)
 }
 
-// lookupSlow scans the non-MRU ways, promoting a hit to MRU or filling the
-// line on a miss (evicting the LRU way).
+// lookupSlow scans the non-MRU ways, shifting each way it passes down one,
+// so that a hit ends up promoted to MRU and a miss (dropping the LRU or an
+// empty way) fills the line as MRU, in one pass over the set.
 func (c *Cache) lookupSlow(set []int64, ln int64) bool {
+	prev := set[0]
 	for i := 1; i < len(set); i++ {
-		if set[i] == ln {
-			// Move to MRU position.
-			for j := i; j > 0; j-- {
-				set[j] = set[j-1]
-			}
+		cur := set[i]
+		set[i] = prev
+		if cur == ln {
 			set[0] = ln
-			c.Hits++
 			return true
 		}
-	}
-	c.Misses++
-	// Shift every way down one (dropping the LRU or an empty way) and fill
-	// the new line as MRU.
-	for j := len(set) - 1; j > 0; j-- {
-		set[j] = set[j-1]
+		prev = cur
 	}
 	set[0] = ln
 	return false
@@ -248,7 +239,6 @@ func (h *Hierarchy) Access(addr int64, kind AccessKind) Level {
 	ln := addr >> l1.shift
 	base := int(ln&(l1.nsets-1)) * l1.assoc
 	if l1.tags[base] == ln {
-		l1.Hits++
 		h.Stats.At[kind][L1]++
 		return L1
 	}
@@ -267,7 +257,6 @@ func (h *Hierarchy) AccessHit(addr int64, kind AccessKind) bool {
 	l1 := h.L1c
 	ln := addr >> l1.shift
 	if base := int(ln&(l1.nsets-1)) * l1.assoc; l1.tags[base] == ln {
-		l1.Hits++
 		h.Stats.At[kind][L1]++
 		return true
 	}

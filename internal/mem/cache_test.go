@@ -12,20 +12,30 @@ func smallCache() *Cache {
 
 func TestCacheHitAfterFill(t *testing.T) {
 	c := smallCache()
-	if c.Lookup(0) {
+	hits, misses := 0, 0
+	lookup := func(addr int64) bool {
+		hit := c.Lookup(addr)
+		if hit {
+			hits++
+		} else {
+			misses++
+		}
+		return hit
+	}
+	if lookup(0) {
 		t.Error("cold access should miss")
 	}
-	if !c.Lookup(0) {
+	if !lookup(0) {
 		t.Error("second access should hit")
 	}
-	if !c.Lookup(63) {
+	if !lookup(63) {
 		t.Error("same line should hit")
 	}
-	if c.Lookup(64) {
+	if lookup(64) {
 		t.Error("next line should miss")
 	}
-	if c.Hits != 2 || c.Misses != 2 {
-		t.Errorf("hits=%d misses=%d, want 2/2", c.Hits, c.Misses)
+	if hits != 2 || misses != 2 {
+		t.Errorf("hits=%d misses=%d, want 2/2", hits, misses)
 	}
 }
 
@@ -50,21 +60,24 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheWorkingSetFits(t *testing.T) {
 	c := NewCache(Config{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 8})
 	// Touch 16 KiB twice: second pass must be all hits.
+	misses := 0
 	for addr := int64(0); addr < 16<<10; addr += 8 {
-		c.Lookup(addr)
+		if !c.Lookup(addr) {
+			misses++
+		}
 	}
-	h0 := c.Hits
-	m0 := c.Misses
+	if misses != 16<<10/64 {
+		t.Errorf("first pass missed %d times, want one miss per line (%d)", misses, 16<<10/64)
+	}
+	hits := 0
 	for addr := int64(0); addr < 16<<10; addr += 8 {
 		if !c.Lookup(addr) {
 			t.Fatalf("second pass miss at %d", addr)
 		}
+		hits++
 	}
-	if c.Misses != m0 {
-		t.Error("second pass should not miss")
-	}
-	if c.Hits <= h0 {
-		t.Error("second pass should hit")
+	if hits != 16<<10/8 {
+		t.Errorf("second pass hit %d times, want %d", hits, 16<<10/8)
 	}
 }
 
@@ -158,40 +171,19 @@ func TestFlushAndReset(t *testing.T) {
 	}
 }
 
-// Property: Contains agrees with a map-based model of an LRU cache.
+// Property: Lookup agrees with the naive reference model of an LRU cache.
 func TestCacheMatchesReferenceModel(t *testing.T) {
-	type ref struct {
-		lines map[int64][]int64 // set → MRU-first lines
-	}
 	prop := func(seed int64) bool {
-		c := NewCache(Config{SizeBytes: 512, LineBytes: 64, Assoc: 2}) // 4 sets
-		r := ref{lines: map[int64][]int64{}}
+		cfg := Config{SizeBytes: 512, LineBytes: 64, Assoc: 2} // 4 sets
+		c, r := NewCache(cfg), newRefCache(cfg)
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 500; op++ {
 			addr := int64(rng.Intn(64)) * 64
-			ln := addr >> 6
-			si := ln & 3
-			// reference lookup
-			set := r.lines[si]
-			found := -1
-			for i, tag := range set {
-				if tag == ln {
-					found = i
-					break
-				}
-			}
-			refHit := found >= 0
-			if refHit {
-				set = append(set[:found], set[found+1:]...)
-			} else if len(set) == 2 {
-				set = set[:1]
-			}
-			r.lines[si] = append([]int64{ln}, set...)
-			if c.Lookup(addr) != refHit {
+			if c.Lookup(addr) != r.lookup(addr) {
 				return false
 			}
 		}
-		return true
+		return r.equal(c)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

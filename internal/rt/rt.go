@@ -282,8 +282,9 @@ func runAccess(w *Workload, cfg TraceConfig) map[string]*ir.Func {
 //
 // While one run is live, its execute phases feed its hierarchy through the
 // VM's fused probe, as RunContext always does. With more than one, they
-// run on one more Env whose Tracer fans each event out to the live runs'
-// hierarchies.
+// run on one more Env whose Tracer feeds a mem.Group of the live runs'
+// hierarchies, which settles an event that hits the phase's own L1 stack
+// once for all of them.
 func RunGroup(ctx context.Context, w *Workload, cfg TraceConfig, access []map[string]*ir.Func) ([]*Trace, []error) {
 	return runGroup(ctx, w, cfg, access, interp.NewEnv)
 }
@@ -321,9 +322,10 @@ type group struct {
 	newEnv func(*interp.Program, interp.Tracer) *interp.Env
 	prog   *interp.Program
 	runs   []*groupRun
-	// fan and shared run the execute phases of more than one live run;
-	// shared is built on first use.
-	fan    fanout
+	// shared runs the execute phases of more than one live run, feeding
+	// mg, whose members are hs; it is built on first use.
+	mg     mem.Group
+	hs     []*mem.Hierarchy
 	shared *executor
 }
 
@@ -354,22 +356,13 @@ type executor struct {
 	prep map[*ir.Func]*interp.Prepared
 }
 
-// fanout feeds each memory event of a shared execute phase to the
-// hierarchies in hs (one per live run), through the probe the VM's fused
-// path uses.
-type fanout struct{ hs []*mem.Hierarchy }
+// groupTracer adapts a shared execute phase's memory events onto the
+// group of the live runs' hierarchies.
+type groupTracer struct{ g *mem.Group }
 
-func (f *fanout) Load(a int64)     { f.access(a, mem.Load) }
-func (f *fanout) Store(a int64)    { f.access(a, mem.Store) }
-func (f *fanout) Prefetch(a int64) { f.access(a, mem.Prefetch) }
-
-func (f *fanout) access(a int64, kind mem.AccessKind) {
-	for _, h := range f.hs {
-		if !h.AccessHit(a, kind) {
-			h.Access(a, kind)
-		}
-	}
-}
+func (t *groupTracer) Load(a int64)     { t.g.Access(a, mem.Load) }
+func (t *groupTracer) Store(a int64)    { t.g.Access(a, mem.Store) }
+func (t *groupTracer) Prefetch(a int64) { t.g.Access(a, mem.Prefetch) }
 
 // newExecutor returns a fresh executor whose Env reports memory events to
 // tracer and, when hier is non-nil, to hier through the fused probe.
@@ -544,21 +537,26 @@ func (g *group) access(r *groupRun, bi, ti int, task Task) error {
 // each on the core its access placed the task on. The returned fault ends
 // every live run.
 func (g *group) execute(live []*groupRun, task Task, fn *ir.Func) error {
-	x := live[0].cores[live[0].ci]
-	if len(live) > 1 {
-		g.fan.hs = g.fan.hs[:0]
-		for _, r := range live {
-			g.fan.hs = append(g.fan.hs, r.cores[r.ci].hier)
-		}
-		if g.shared == nil {
-			g.shared = g.newExecutor(&g.fan, nil)
-		}
-		x = g.shared
-	}
 	for _, r := range live {
 		r.cores[r.ci].hier.ResetStats()
 	}
+	x := live[0].cores[live[0].ci]
+	if len(live) > 1 {
+		g.hs = g.hs[:0]
+		for _, r := range live {
+			g.hs = append(g.hs, r.cores[r.ci].hier)
+		}
+		if g.shared == nil {
+			g.shared = g.newExecutor(&groupTracer{&g.mg}, nil)
+		}
+		x = g.shared
+		g.mg.Begin(g.hs)
+	}
 	counts, xerr := g.phase(x, task.Name, fn, task.Args, false)
+	if x == g.shared {
+		// Faulted or not, the phase's cache effects reach every run.
+		g.mg.End()
+	}
 	switch {
 	case xerr == nil:
 		for _, r := range live {
